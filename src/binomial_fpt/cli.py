@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import jsonio
 from .base_p import render_positional
-from .engine import Binomial, FptResult, fpt, fpt_limit
+from .engine import FptResult, fpt, fpt_limit
 from .oracle import BudgetExceeded, NuQuery, nu_monomial, nu_naive, nu_semigroup, verify
 from .parsing import ParseError, parse, parse_monomial
 from .polytope import build, maximal_point, point_to_json, vertices
@@ -81,7 +81,7 @@ def _require_prime(p: int) -> None:
         raise _CliError(f"{p} is not prime")
 
 
-def _print_result(g: Binomial, p: int, result: FptResult, limit: Fraction) -> None:
+def _print_result(p: int, result: FptResult, limit: Fraction) -> None:
     print(f"fpt = {result.value}")
     print(f"    = {render_positional(result.value, p)}")
     print(f"case: {result.case.value}")
@@ -109,7 +109,7 @@ def _cmd_compute(args) -> int:
     if args.json:
         print(json.dumps(jsonio.result_to_json(g, args.prime, result, limit, report)))
     else:
-        _print_result(g, args.prime, result, limit)
+        _print_result(args.prime, result, limit)
         if report is not None:
             naive = "skipped" if report.naive_nu is None else str(report.naive_nu)
             print(
@@ -156,6 +156,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_polytope(args) -> int:
+    if args.level is not None and args.prime is None:
+        raise _CliError("--level needs --prime")
     g = parse(args.poly)
     if args.prime is not None:
         _require_prime(args.prime)

@@ -20,13 +20,14 @@ returning a wrong value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
 from .base_p import carry_profile, tail, truncate
 from .polytope import (
     Axis,
+    MaximalPoint,
     Point2,
     SplittingMatrix,
     build,
@@ -83,7 +84,6 @@ class Factorization:
 
 
 class FptCase(Enum):
-    UNIT = "UNIT"
     MONOMIAL_ONLY = "MONOMIAL_ONLY"
     STANDARD_GT1 = "STANDARD_GT1"
     CARRY_FREE = "CARRY_FREE"
@@ -93,11 +93,27 @@ class FptCase(Enum):
 
 
 @dataclass(frozen=True)
+class Candidate:
+    """A lattice point one step p^-d right of or above the truncation.
+
+    axis is the direction of its ray; delta is how far that ray stays
+    in the polytope, clipped only when the point lies in the lower
+    interior (inside) and None otherwise.
+    """
+
+    point: Point2
+    axis: Axis
+    inside: bool
+    delta: Fraction | None
+
+
+@dataclass(frozen=True)
 class FptResult:
     """Threshold value plus the diagnostics that produced it.
 
     carry_free is None when no carry analysis ran (monomial-only
-    results and cores with |eta| > 1).  L and d are only set for
+    results and cores with |eta| > 1).  L, d, the truncation of eta at
+    level d and the candidates (right, then up) are only set for
     finite carry analyses; epsilon only in the corrected case.
     """
 
@@ -111,6 +127,8 @@ class FptResult:
     epsilon: Fraction | None = None
     monomial_fpt: Fraction | None = None
     core_fpt: Fraction | None = None
+    truncation: Point2 | None = None
+    candidates: tuple[Candidate, ...] = ()
 
 
 def factor(g: Binomial) -> Factorization:
@@ -156,18 +174,27 @@ def _in_lattice(value: Fraction, denominator: int) -> bool:
     return (value * denominator).denominator == 1
 
 
-def core_fpt(core: Binomial, p: int) -> FptResult:
-    """Threshold of a core binomial (no equal-exponent variables)."""
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    if any(ai == bi for ai, bi in zip(core.a, core.b)):
-        raise ValueError("core must not contain equal-exponent variables")
-    if not core.vanishes_at_origin():
-        raise ValueError("core is a local unit")
+def _core_geometry(core: Binomial) -> tuple[SplittingMatrix, MaximalPoint]:
     matrix = build(core.a, core.b)
     mp = maximal_point(matrix)
     if mp is None:
         raise RuntimeError("constant row reached core")
+    return matrix, mp
+
+
+def _candidate(matrix: SplittingMatrix, point: Point2, axis: Axis) -> Candidate:
+    inside = contains_lower_interior(matrix, point)
+    delta = ray_max_delta(matrix, point, axis) if inside else None
+    return Candidate(point, axis, inside, delta)
+
+
+def carry_step(matrix: SplittingMatrix, mp: MaximalPoint, p: int) -> FptResult:
+    """Threshold read off the maximal point mp of the polytope of matrix.
+
+    This is the one place epsilon is derived: the engine calls it on a
+    core's matrix and the figure on its own.  mp is given, so no
+    vertices are enumerated here.
+    """
     eta, eta_sum = mp.point, mp.sum
     if eta_sum > 1:
         return FptResult(ONE, FptCase.STANDARD_GT1, eta=eta, eta_sum=eta_sum)
@@ -185,33 +212,44 @@ def core_fpt(core: Binomial, p: int) -> FptResult:
     t2 = truncate(eta.s2, p, d)
     trunc_sum = truncate(eta_sum, p, L)
     assert t1 + t2 + step == trunc_sum, "digit-carry identity violated"
-    cand_right = Point2(t1 + step, t2)
-    cand_up = Point2(t1, t2 + step)
-    in_right = contains_lower_interior(matrix, cand_right)
-    in_up = contains_lower_interior(matrix, cand_up)
-    common = dict(eta=eta, eta_sum=eta_sum, carry_free=False, L=L, d=d)
-    if not in_right and not in_up:
-        return FptResult(trunc_sum, FptCase.TRUNCATED, **common)
     # Only rays whose own base candidate lies in the lower interior
     # count: a base sitting on a polytope face parallel to its ray
     # direction never enters the open region, so clipping that ray
     # against the closed polytope would overstate the correction (the
     # brute-force nu ladder comes out one short of such a value).
-    deltas = []
-    if in_right:
-        deltas.append(ray_max_delta(matrix, cand_right, Axis.AXIS2))
-    if in_up:
-        deltas.append(ray_max_delta(matrix, cand_up, Axis.AXIS1))
-    epsilon = max(delta for delta in deltas if delta is not None)
+    right = _candidate(matrix, Point2(t1 + step, t2), Axis.AXIS2)
+    up = _candidate(matrix, Point2(t1, t2 + step), Axis.AXIS1)
+    truncated = FptResult(
+        trunc_sum, FptCase.TRUNCATED, eta=eta, eta_sum=eta_sum, carry_free=False,
+        L=L, d=d, truncation=Point2(t1, t2), candidates=(right, up),
+    )
+    deltas = [c.delta for c in (right, up) if c.inside]
+    if not deltas:
+        return truncated
+    epsilon = max(deltas)
     sum_tail = tail(eta_sum, p, L)
     assert 0 < epsilon <= sum_tail, "epsilon outside its proven bounds"
-    on_lattice = (in_right and _in_lattice(eta.s1, p**d)) or (
-        in_up and _in_lattice(eta.s2, p**d)
+    on_lattice = (right.inside and _in_lattice(eta.s1, p**d)) or (
+        up.inside and _in_lattice(eta.s2, p**d)
     )
     assert (epsilon == sum_tail) == on_lattice, "epsilon equality criterion violated"
-    return FptResult(
-        trunc_sum + epsilon, FptCase.TRUNCATED_PLUS_EPSILON, epsilon=epsilon, **common
+    return replace(
+        truncated,
+        value=trunc_sum + epsilon,
+        case=FptCase.TRUNCATED_PLUS_EPSILON,
+        epsilon=epsilon,
     )
+
+
+def core_fpt(core: Binomial, p: int) -> FptResult:
+    """Threshold of a core binomial (no equal-exponent variables)."""
+    if not is_prime(p):
+        raise ValueError("p must be prime")
+    if any(ai == bi for ai, bi in zip(core.a, core.b)):
+        raise ValueError("core must not contain equal-exponent variables")
+    if not core.vanishes_at_origin():
+        raise ValueError("core is a local unit")
+    return carry_step(*_core_geometry(core), p)
 
 
 def fpt(g: Binomial, p: int) -> FptResult:
@@ -220,34 +258,19 @@ def fpt(g: Binomial, p: int) -> FptResult:
         raise ValueError("p must be prime")
     parts = factor(g)
     mono = monomial_fpt(parts.monomial_exponents)
-    core_result = None if parts.core_is_unit else core_fpt(parts.core, p)
-    if mono is None and core_result is None:
-        raise ValueError("input does not vanish at the origin")
-    if core_result is None:
+    if parts.core_is_unit:
+        if mono is None:
+            raise ValueError("input does not vanish at the origin")
         return FptResult(mono, FptCase.MONOMIAL_ONLY, monomial_fpt=mono)
+    core = core_fpt(parts.core, p)
     if mono is None:
-        return FptResult(
-            value=core_result.value,
-            case=core_result.case,
-            eta=core_result.eta,
-            eta_sum=core_result.eta_sum,
-            carry_free=core_result.carry_free,
-            L=core_result.L,
-            d=core_result.d,
-            epsilon=core_result.epsilon,
-            core_fpt=core_result.value,
-        )
-    return FptResult(
-        value=min(mono, core_result.value),
+        return replace(core, core_fpt=core.value)
+    return replace(
+        core,
+        value=min(mono, core.value),
         case=FptCase.MIN_COMBINED,
-        eta=core_result.eta,
-        eta_sum=core_result.eta_sum,
-        carry_free=core_result.carry_free,
-        L=core_result.L,
-        d=core_result.d,
-        epsilon=core_result.epsilon,
         monomial_fpt=mono,
-        core_fpt=core_result.value,
+        core_fpt=core.value,
     )
 
 
@@ -268,10 +291,7 @@ def fpt_limit(g: Binomial) -> Fraction:
     if mono is not None:
         candidates.append(mono)
     if not parts.core_is_unit:
-        matrix = build(parts.core.a, parts.core.b)
-        mp = maximal_point(matrix)
-        if mp is None:
-            raise RuntimeError("constant row reached core")
+        _, mp = _core_geometry(parts.core)
         candidates.append(min(ONE, mp.sum))
     if not candidates:
         raise ValueError("input does not vanish at the origin")

@@ -127,7 +127,6 @@ COMPUTE_SCHEMA = {
         "prime": {"type": "integer", "minimum": 2},
         "case": {
             "enum": [
-                "UNIT",
                 "MONOMIAL_ONLY",
                 "STANDARD_GT1",
                 "CARRY_FREE",

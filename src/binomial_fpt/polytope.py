@@ -200,16 +200,5 @@ def segment_meets_lower_interior(
     return True
 
 
-def matrix_to_json(matrix: SplittingMatrix) -> dict:
-    return {"rows": [[a, b] for a, b in matrix.rows]}
-
-
-def matrix_from_json(data: dict) -> SplittingMatrix:
-    rows = data["rows"]
-    a = tuple(int(r[0]) for r in rows)
-    b = tuple(int(r[1]) for r in rows)
-    return build(a, b)
-
-
 def point_to_json(pt: Point2) -> list[str]:
     return [str(pt.s1), str(pt.s2)]

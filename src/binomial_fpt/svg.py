@@ -11,18 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .base_p import carry_profile, truncate
-from .engine import Binomial
-from .polytope import (
-    Axis,
-    Point2,
-    SplittingMatrix,
-    build,
-    contains_lower_interior,
-    maximal_point,
-    ray_max_delta,
-    vertices,
-)
+from .base_p import truncate
+from .engine import Binomial, FptCase, FptResult, carry_step
+from .parsing import binomial_to_text
+from .polytope import Axis, Point2, SplittingMatrix, build, maximal_point, vertices
 
 _FILL = "#d7e7f5"
 _EDGE = "#1f4e79"
@@ -123,36 +115,10 @@ def polytope_figure(
     m = max(ext1, ext2) * Fraction(11, 10)
     main = _Panel(0, 0, m, m, 70, 50, 470)
 
-    carry = None
-    trunc_pt = None
-    cands: list[tuple[Point2, Axis]] = []
-    eps = None
-    eps_ray: tuple[Point2, Axis] | None = None
-    if prime is not None and mp is not None and mp.sum <= 1:
-        carry = carry_profile(mp.point.s1, mp.point.s2, prime)
-        if not carry.carry_free and carry.d is not None:
-            d = carry.d
-            step = Fraction(1, prime**d)
-            t1 = truncate(mp.point.s1, prime, d)
-            t2 = truncate(mp.point.s2, prime, d)
-            trunc_pt = Point2(t1, t2)
-            cands = [
-                (Point2(t1 + step, t2), Axis.AXIS2),
-                (Point2(t1, t2 + step), Axis.AXIS1),
-            ]
-            if any(contains_lower_interior(matrix, c) for c, _ in cands):
-                best = None
-                for cand, axis in cands:
-                    if not contains_lower_interior(matrix, cand):
-                        continue
-                    delta = ray_max_delta(matrix, cand, axis)
-                    if delta is not None and (best is None or delta > best):
-                        best = delta
-                        eps_ray = (cand, axis)
-                eps = best
+    result = None if prime is None or mp is None else carry_step(matrix, mp, prime)
+    trunc_pt = None if result is None else result.truncation
 
-    with_inset = trunc_pt is not None
-    width = 1020 if with_inset else 620
+    width = 620 if trunc_pt is None else 1020
     out: list[str] = []
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="600" '
@@ -161,9 +127,9 @@ def polytope_figure(
     out.append('<rect width="100%" height="100%" fill="white" />')
     out.append(
         '<text x="70" y="30" font-size="14" font-family="monospace">'
-        f"splitting polytope of {_escape(_input_text(g))}</text>"
+        f"splitting polytope of {_escape(binomial_to_text(g))}</text>"
     )
-    _draw_panel(out, main, matrix, verts, mp, trunc_pt, cands, eps, eps_ray, labels=True)
+    _draw_panel(out, main, matrix, verts, mp, result, labels=True)
     if mp is not None and level is not None and prime is not None:
         lv = Point2(
             truncate(mp.point.s1, prime, level), truncate(mp.point.s2, prime, level)
@@ -171,11 +137,10 @@ def polytope_figure(
         out.append(main.dot(lv, _GRID, r="3"))
         out.append(main.text(lv, f"trunc level {level}", dx=6, dy=12))
 
-    out.extend(_legend(g, matrix, mp, prime, carry, eps))
+    out.extend(_legend(matrix, mp, prime, result))
 
-    if with_inset and trunc_pt is not None:
-        d = carry.d  # type: ignore[union-attr]
-        step = Fraction(1, prime**d)  # type: ignore[operator]
+    if trunc_pt is not None:
+        step = Fraction(1, prime**result.d)
         pad = step / 2
         inset = _Panel(
             trunc_pt.s1 - pad,
@@ -194,17 +159,9 @@ def polytope_figure(
             '<text x="640" y="110" font-size="12" font-family="monospace">'
             "zoom near the truncated maximal point</text>"
         )
-        _draw_panel(
-            out, inset, matrix, verts, mp, trunc_pt, cands, eps, eps_ray, labels=False
-        )
+        _draw_panel(out, inset, matrix, verts, mp, result, labels=False)
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def _input_text(g: Binomial) -> str:
-    from .parsing import binomial_to_text
-
-    return binomial_to_text(g)
 
 
 def _escape(text: str) -> str:
@@ -217,10 +174,7 @@ def _draw_panel(
     matrix: SplittingMatrix,
     verts: tuple[Point2, ...],
     mp,
-    trunc_pt: Point2 | None,
-    cands: list[tuple[Point2, Axis]],
-    eps: Fraction | None,
-    eps_ray: tuple[Point2, Axis] | None,
+    result: FptResult | None,
     labels: bool,
 ) -> None:
     if labels:
@@ -270,21 +224,27 @@ def _draw_panel(
         out.append(panel.dot(mp.point, _ETA, r="4"))
         if labels:
             out.append(panel.text(mp.point, f"eta = ({mp.point.s1}, {mp.point.s2})"))
-    if trunc_pt is not None and panel.inside(trunc_pt):
+    if result is None or result.truncation is None:
+        return
+    trunc_pt = result.truncation
+    if panel.inside(trunc_pt):
         out.append(panel.dot(trunc_pt, _GRID, r="3"))
         if not labels:
             out.append(panel.text(trunc_pt, "trunc(eta)", size="10"))
-    for cand, _axis in cands:
-        if panel.inside(cand):
-            out.append(panel.dot(cand, _CAND, r="3"))
-    if not labels and cands:
-        for cand, axis in cands:
-            if panel.inside(cand):
-                tag = "right candidate" if axis is Axis.AXIS2 else "upper candidate"
-                out.append(panel.text(cand, tag, size="10"))
-    if eps is not None and eps_ray is not None:
-        base, axis = eps_ray
-        if axis is Axis.AXIS2:
+    for cand in result.candidates:
+        if panel.inside(cand.point):
+            out.append(panel.dot(cand.point, _CAND, r="3"))
+    if not labels:
+        for cand in result.candidates:
+            if panel.inside(cand.point):
+                tag = "right candidate" if cand.axis is Axis.AXIS2 else "upper candidate"
+                out.append(panel.text(cand.point, tag, size="10"))
+    eps = result.epsilon
+    # The ray drawn is the first inside candidate whose ray attains epsilon.
+    ray = next((c for c in result.candidates if c.inside and c.delta == eps), None)
+    if ray is not None:
+        base = ray.point
+        if ray.axis is Axis.AXIS2:
             tip = Point2(base.s1, base.s2 + eps)
         else:
             tip = Point2(base.s1 + eps, base.s2)
@@ -295,12 +255,7 @@ def _draw_panel(
 
 
 def _legend(
-    g: Binomial,
-    matrix: SplittingMatrix,
-    mp,
-    prime: int | None,
-    carry,
-    eps: Fraction | None,
+    matrix: SplittingMatrix, mp, prime: int | None, result: FptResult | None
 ) -> list[str]:
     lines = [f"rows: {' '.join(f'({a},{b})' for a, b in matrix.rows)}"]
     if mp is None:
@@ -310,15 +265,15 @@ def _legend(
         lines.append(f"|eta| = {mp.sum}")
     if prime is not None:
         lines.append(f"p = {prime}")
-        if carry is not None:
-            if carry.carry_free:
-                lines.append("carry-free: threshold equals |eta|")
-            else:
-                lines.append(f"L = {carry.L}, d = {carry.d}")
-                if eps is not None:
-                    lines.append(f"epsilon = {eps}")
-        elif mp is not None and mp.sum > 1:
-            lines.append("|eta| > 1: threshold equals 1")
+    case = None if result is None else result.case
+    if case is FptCase.STANDARD_GT1:
+        lines.append("|eta| > 1: threshold equals 1")
+    elif case is FptCase.CARRY_FREE:
+        lines.append("carry-free: threshold equals |eta|")
+    elif case is not None:
+        lines.append(f"L = {result.L}, d = {result.d}")
+        if result.epsilon is not None:
+            lines.append(f"epsilon = {result.epsilon}")
     out = []
     base_y = 590 - 14 * len(lines)
     for i, content in enumerate(lines):

@@ -87,6 +87,11 @@ class TestCompute:
         assert code == EXIT_BAD_INPUT
         assert "not prime" in err
 
+    def test_large_prime(self, capsys):
+        code, out, _ = run(capsys, "compute", COMP, "--prime", str(2**61 - 1))
+        assert code == EXIT_OK
+        assert "case: TRUNCATED_PLUS_EPSILON" in out
+
     def test_missing_flag(self, capsys):
         code, _, err = run(capsys, "compute", COMP)
         assert code == EXIT_BAD_INPUT
@@ -185,6 +190,13 @@ class TestPolytope:
         body = target.read_text()
         assert "epsilon = 3/6845" in body
         assert "candidate" in body
+
+    def test_level_requires_prime(self, capsys, tmp_path):
+        target = tmp_path / "comp.svg"
+        code, _, err = run(capsys, "polytope", COMP, "--svg", str(target), "--level", "2")
+        assert code == EXIT_BAD_INPUT
+        assert "--level needs --prime" in err
+        assert not target.exists()
 
     def test_svg_deterministic(self, capsys, tmp_path):
         first = tmp_path / "a.svg"

@@ -1,0 +1,77 @@
+"""The polytope figure draws what the engine derives."""
+
+import hashlib
+import re
+from random import Random
+
+import pytest
+
+from binomial_fpt import Binomial, fpt, parse
+from binomial_fpt.svg import polytope_figure
+
+from conftest import VARIABLE_NAMES
+
+LEGEND_LINE = re.compile(r'<text x="70" y="\d+" font-size="11" font-family="monospace">(.*)</text>')
+
+
+def legend(svg: str) -> list[str]:
+    return LEGEND_LINE.findall(svg)
+
+
+def binomial_with_shared_variable(rng: Random, shared: bool) -> Binomial:
+    """A 2-4 variable binomial; with `shared`, one variable has equal exponents."""
+    while True:
+        n = rng.randint(2, 4)
+        a = [rng.randint(0, 6) for _ in range(n)]
+        b = [rng.randint(0, 6) for _ in range(n)]
+        if shared:
+            i = rng.randrange(n)
+            a[i] = b[i] = rng.randint(1, 6)
+        if a == b or not any(a) or not any(b):
+            continue
+        if any(ai == 0 and bi == 0 for ai, bi in zip(a, b)):
+            continue
+        return Binomial(VARIABLE_NAMES[:n], tuple(a), tuple(b))
+
+
+def test_legend_carry_data_matches_the_engine():
+    rng = Random(20260)
+    drawn = with_epsilon = 0
+    for i in range(60):
+        g = binomial_with_shared_variable(rng, shared=i % 2 == 0)
+        for p in (2, 3, 5, 7, 37):
+            result = fpt(g, p)
+            lines = legend(polytope_figure(g, p))
+            carry = [line for line in lines if line.startswith("L = ")]
+            if not carry:
+                continue
+            drawn += 1
+            assert carry == [f"L = {result.L}, d = {result.d}"], (g, p)
+            epsilon = [line for line in lines if line.startswith("epsilon = ")]
+            expected = [] if result.epsilon is None else [f"epsilon = {result.epsilon}"]
+            assert epsilon == expected, (g, p)
+            with_epsilon += bool(epsilon)
+    assert drawn >= 50 and with_epsilon >= 10
+
+
+@pytest.mark.parametrize(
+    "poly, prime, level, digest",
+    [
+        (
+            "x^7*y^2 + x^5*y^6",
+            37,
+            2,
+            "05390e14602f60475c769fce2e77138571c352bc138e79acbe51726a565d1dca",
+        ),
+        (
+            # Not a core: the constant row (1, 1) stays in the figure's matrix.
+            "x*y^3*z + x^3*y*z",
+            2,
+            None,
+            "792618543fb14211968dfe2169293fbbd75b26c189a1f5446cc0288a9d2522a4",
+        ),
+    ],
+)
+def test_golden_figure(poly, prime, level, digest):
+    svg = polytope_figure(parse(poly), prime, level)
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest
