@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 
 def _check_unit_interval(alpha: Fraction) -> None:
@@ -75,14 +74,6 @@ class DigitExpansion:
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
 
-    def digit(self, e: int) -> int:
-        """Digit at 1-based position e."""
-        if e < 1:
-            raise ValueError("digit positions start at 1")
-        if e <= len(self.preperiod):
-            return self.preperiod[e - 1]
-        return self.period[(e - len(self.preperiod) - 1) % len(self.period)]
-
     def value(self) -> Fraction:
         """Exact rational reconstruction of the expansion."""
         p = self.prime
@@ -96,13 +87,6 @@ class DigitExpansion:
         return Fraction(pre_int, p**pre_len) + Fraction(
             per_int, p**pre_len * (p**per_len - 1)
         )
-
-    def render(self) -> str:
-        """". d1 d2 (q1 ... qk)~ (base p)" with the repeating block in parens."""
-        head = " ".join(str(d) for d in self.preperiod)
-        block = " ".join(str(d) for d in self.period)
-        body = f"{head} ({block})~" if head else f"({block})~"
-        return f".{body} (base {self.prime})"
 
 
 def expand(alpha: Fraction, p: int) -> DigitExpansion:
@@ -176,10 +160,10 @@ class CarryProfile:
     L is the last position before the first carry when adding the two
     expansions digit by digit (None when no carry ever occurs).  d is
     the last position at or before L whose digit sum is at most p - 2
-    (None when no such position exists).  certificate_depth is how many
-    leading positions were inspected, which covers one full combined
-    period past the combined preperiod and therefore certifies the
-    carry-free case.
+    (None when no such position exists).  certificate_depth is the
+    number of positions inspected: L + 1 when a carry occurs, and
+    otherwise the combined preperiod plus one full combined period,
+    which certifies the carry-free case.
     """
 
     L: int | None
@@ -192,24 +176,32 @@ class CarryProfile:
 
 
 def carry_profile(alpha: Fraction, beta: Fraction, p: int) -> CarryProfile:
-    """Locate the first carry when adding alpha and beta digit by digit."""
-    ea = expand(alpha, p)
-    eb = expand(beta, p)
-    rho = max(len(ea.preperiod), len(eb.preperiod))
-    big_pi = lcm(len(ea.period), len(eb.period))
-    depth = rho + big_pi
-    first_carry: int | None = None
+    """Locate the first carry when adding alpha and beta digit by digit.
+
+    Runs the long divisions of expand() for both values in lockstep and
+    stops at the first carry, or when the pair of division states
+    repeats: the digit pairs cycle from there on, so none carries.
+    """
+    _check_unit_interval(alpha)
+    _check_unit_interval(beta)
+    _check_base(p)
+    n1, den1 = alpha.numerator, alpha.denominator
+    n2, den2 = beta.numerator, beta.denominator
+    seen: set[tuple[int, int]] = set()
     last_small: int | None = None
-    for e in range(1, depth + 1):
-        s = ea.digit(e) + eb.digit(e)
-        if s >= p:
-            first_carry = e
-            break
-        if s <= p - 2:
+    e = 0
+    while (n1, n2) not in seen:
+        seen.add((n1, n2))
+        e += 1
+        # a zero state stands for the all-zero expansion of alpha = 0
+        d1 = (p * n1 - 1) // den1 if n1 else 0
+        d2 = (p * n2 - 1) // den2 if n2 else 0
+        if d1 + d2 >= p:
+            return CarryProfile(e - 1, last_small, e)
+        if d1 + d2 <= p - 2:
             last_small = e
-    if first_carry is None:
-        return CarryProfile(None, None, depth)
-    return CarryProfile(first_carry - 1, last_small, depth)
+        n1, n2 = p * n1 - d1 * den1, p * n2 - d2 * den2
+    return CarryProfile(None, None, e)
 
 
 def adds_without_carrying(k1: int, k2: int, p: int) -> bool:

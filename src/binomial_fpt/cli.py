@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import jsonio
 from .base_p import render_positional
-from .engine import FptResult, fpt, fpt_limit
+from .engine import FptResult, fpt, fpt_limit, prepare
 from .oracle import BudgetExceeded, NuQuery, nu_monomial, nu_naive, nu_semigroup, verify
 from .parsing import ParseError, parse, parse_monomial
 from .polytope import build, maximal_point, point_to_json, vertices
@@ -138,8 +138,9 @@ def _cmd_scan(args) -> int:
         primes = [p for p in primes if p % args.mod == args.residue % args.mod]
     if not primes:
         raise _CliError("empty prime range")
-    limit = fpt_limit(g)
-    rows = [(p, fpt(g, p)) for p in primes]
+    plan = prepare(g)
+    limit = plan.limit
+    rows = [(p, plan.at(p)) for p in primes]
     if args.json:
         congruence = None if args.mod is None else (args.mod, args.residue)
         print(json.dumps(jsonio.scan_to_json(g, lo, hi, congruence, limit, rows)))

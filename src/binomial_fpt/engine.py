@@ -14,9 +14,11 @@ point eta of its splitting polytope:
     With carrying, the threshold still equals |eta| when epsilon
     reaches its cap tail(|eta|, p, L).
 
-The threshold of the product is the minimum of the two parts.  The
-dispatch below asserts the digit-carry identity and the epsilon bounds
-it relies on, so a violated expectation aborts loudly instead of
+The threshold of the product is the minimum of the two parts.  Only
+the digits of eta depend on p, so prepare(g) derives the factorization,
+the geometry and the limit once and Plan.at(p) does the rest.  The
+dispatch checks the digit-carry identity and the epsilon bounds it
+relies on, so a violated expectation raises RuntimeError instead of
 returning a wrong value.
 """
 
@@ -208,12 +210,14 @@ def carry_step(matrix: SplittingMatrix, mp: MaximalPoint, p: int) -> FptResult:
     L, d = profile.L, profile.d
     if d is None:
         raise RuntimeError("no digit position with sum <= p - 2 before the carry")
-    assert L is not None and 1 <= d <= L, f"carry profile out of range: L={L}, d={d}"
+    if not 1 <= d <= L:
+        raise RuntimeError(f"carry profile out of range: L={L}, d={d}")
     step = Fraction(1, p**d)
     t1 = truncate(eta.s1, p, d)
     t2 = truncate(eta.s2, p, d)
     trunc_sum = truncate(eta_sum, p, L)
-    assert t1 + t2 + step == trunc_sum, "digit-carry identity violated"
+    if t1 + t2 + step != trunc_sum:
+        raise RuntimeError("digit-carry identity violated")
     # Only rays whose own base candidate lies in the lower interior
     # count: a base sitting on a polytope face parallel to its ray
     # direction never enters the open region, so clipping that ray
@@ -230,17 +234,65 @@ def carry_step(matrix: SplittingMatrix, mp: MaximalPoint, p: int) -> FptResult:
         return truncated
     epsilon = max(deltas)
     sum_tail = tail(eta_sum, p, L)
-    assert 0 < epsilon <= sum_tail, "epsilon outside its proven bounds"
+    if not 0 < epsilon <= sum_tail:
+        raise RuntimeError("epsilon outside its proven bounds")
     on_lattice = (right.inside and _in_lattice(eta.s1, p**d)) or (
         up.inside and _in_lattice(eta.s2, p**d)
     )
-    assert (epsilon == sum_tail) == on_lattice, "epsilon equality criterion violated"
+    if (epsilon == sum_tail) != on_lattice:
+        raise RuntimeError("epsilon equality criterion violated")
     return replace(
         truncated,
         value=trunc_sum + epsilon,
         case=FptCase.TRUNCATED_PLUS_EPSILON,
         epsilon=epsilon,
     )
+
+
+@dataclass(frozen=True)
+class Plan:
+    """The part of the threshold that depends on g alone.
+
+    core holds the core's splitting matrix and maximal point (None when
+    the core is a unit), monomial_fpt the monomial part's threshold
+    (None without one), and limit the large-p limit of the threshold,
+    the log canonical threshold min(monomial_fpt, 1, |eta|).
+    """
+
+    monomial_fpt: Fraction | None
+    core: tuple[SplittingMatrix, MaximalPoint] | None
+    limit: Fraction
+
+    def at(self, p: int) -> FptResult:
+        """Threshold at the prime p: the carry step, then the min rule."""
+        if not is_prime(p):
+            raise ValueError("p must be prime")
+        mono = self.monomial_fpt
+        if self.core is None:
+            return FptResult(mono, FptCase.MONOMIAL_ONLY, monomial_fpt=mono)
+        core = carry_step(*self.core, p)
+        if mono is None:
+            return replace(core, core_fpt=core.value)
+        return replace(
+            core,
+            value=min(mono, core.value),
+            case=FptCase.MIN_COMBINED,
+            monomial_fpt=mono,
+            core_fpt=core.value,
+        )
+
+
+def prepare(g: Binomial) -> Plan:
+    """Factor g and derive its core's geometry, once for every prime."""
+    parts = factor(g)
+    mono = monomial_fpt(parts.monomial_exponents)
+    if parts.core_is_unit:
+        if mono is None:
+            raise ValueError("input does not vanish at the origin")
+        return Plan(mono, None, mono)
+    matrix, mp = _core_geometry(parts.core)
+    limit = min(ONE, mp.sum) if mono is None else min(mono, ONE, mp.sum)
+    return Plan(mono, (matrix, mp), limit)
 
 
 def core_fpt(core: Binomial, p: int) -> FptResult:
@@ -256,24 +308,7 @@ def core_fpt(core: Binomial, p: int) -> FptResult:
 
 def fpt(g: Binomial, p: int) -> FptResult:
     """F-pure threshold of a binomial vanishing at the origin."""
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    parts = factor(g)
-    mono = monomial_fpt(parts.monomial_exponents)
-    if parts.core_is_unit:
-        if mono is None:
-            raise ValueError("input does not vanish at the origin")
-        return FptResult(mono, FptCase.MONOMIAL_ONLY, monomial_fpt=mono)
-    core = core_fpt(parts.core, p)
-    if mono is None:
-        return replace(core, core_fpt=core.value)
-    return replace(
-        core,
-        value=min(mono, core.value),
-        case=FptCase.MIN_COMBINED,
-        monomial_fpt=mono,
-        core_fpt=core.value,
-    )
+    return prepare(g).at(p)
 
 
 def fpt_truncation(result: FptResult, p: int, e: int) -> Fraction:
@@ -282,19 +317,5 @@ def fpt_truncation(result: FptResult, p: int, e: int) -> Fraction:
 
 
 def fpt_limit(g: Binomial) -> Fraction:
-    """Large-p limit of the threshold (the log canonical threshold).
-
-    The monomial part contributes min(1/a_i); the core contributes
-    min(1, |eta|).  No carry analysis is involved.
-    """
-    parts = factor(g)
-    candidates = []
-    mono = monomial_fpt(parts.monomial_exponents)
-    if mono is not None:
-        candidates.append(mono)
-    if not parts.core_is_unit:
-        _, mp = _core_geometry(parts.core)
-        candidates.append(min(ONE, mp.sum))
-    if not candidates:
-        raise ValueError("input does not vanish at the origin")
-    return min(candidates)
+    """Large-p limit of the threshold (the log canonical threshold)."""
+    return prepare(g).limit

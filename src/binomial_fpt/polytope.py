@@ -37,12 +37,6 @@ class MaximalPoint:
     sum: Fraction
 
 
-class Region(Enum):
-    UPPER_LEFT = "upper_left"
-    STAR = "star"
-    BELOW = "below"
-
-
 class Axis(Enum):
     AXIS1 = "axis1"
     AXIS2 = "axis2"
@@ -121,21 +115,6 @@ def maximal_point(matrix: SplittingMatrix) -> MaximalPoint | None:
     if len(argmax) != 1:
         return None
     return MaximalPoint(argmax[0], best)
-
-
-def classify_region(matrix: SplittingMatrix, eta: Point2, s: Point2) -> Region:
-    """Place a point of P in the three-piece decomposition at eta.
-
-    Points with s2 >= eta2 are UPPER_LEFT (eta itself included), the
-    remaining points with s1 >= eta1 are STAR, everything else BELOW.
-    """
-    if not contains(matrix, s):
-        raise ValueError("point outside polytope")
-    if s.s2 >= eta.s2:
-        return Region.UPPER_LEFT
-    if s.s1 >= eta.s1:
-        return Region.STAR
-    return Region.BELOW
 
 
 def ray_max_delta(

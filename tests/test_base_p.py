@@ -28,6 +28,30 @@ def expansion_depth(alpha: Fraction, beta: Fraction, p: int) -> int:
     return pre + math.lcm(len(ea.period), len(eb.period))
 
 
+def check_profile_against_digits(alpha: Fraction, beta: Fraction, p: int) -> bool:
+    """Check carry_profile(alpha, beta, p) against digit() sums, position
+    by position; True when the pair carries."""
+    profile = carry_profile(alpha, beta, p)
+
+    def digit_sum(e: int) -> int:
+        return digit(alpha, p, e) + digit(beta, p, e)
+
+    if profile.L is None:
+        depth = expansion_depth(alpha, beta, p)
+        assert profile.certificate_depth == depth
+        assert all(digit_sum(e) <= p - 1 for e in range(1, depth + 1))
+        return False
+    # the walk stops at the first carry
+    assert profile.certificate_depth == profile.L + 1
+    assert all(digit_sum(e) <= p - 1 for e in range(1, profile.L + 1))
+    assert digit_sum(profile.L + 1) >= p
+    if profile.d is not None:
+        assert 1 <= profile.d <= profile.L
+        assert digit_sum(profile.d) <= p - 2
+        assert all(digit_sum(e) == p - 1 for e in range(profile.d + 1, profile.L + 1))
+    return True
+
+
 class TestDigit:
     def test_comp_p43_second_digit(self):
         assert digit(Fraction(1, 32), 43, 2) == 14
@@ -94,8 +118,9 @@ class TestExpand:
             alpha = random_unit_fraction(rng)
             p = rng.choice(SMALL_PRIMES)
             exp = expand(alpha, p)
-            for e in range(1, len(exp.preperiod) + 2 * len(exp.period) + 1):
-                assert exp.digit(e) == digit(alpha, p, e)
+            digits = exp.preperiod + 2 * exp.period
+            for e, dg in enumerate(digits, start=1):
+                assert dg == digit(alpha, p, e)
 
 
 class TestTruncateAndTail:
@@ -194,23 +219,14 @@ class TestCarryProfile:
             alpha = random_unit_fraction(rng)
             beta = random_unit_fraction(rng)
             p = rng.choice(SMALL_PRIMES)
-            profile = carry_profile(alpha, beta, p)
-            if profile.L is None:
-                depth = expansion_depth(alpha, beta, p)
-                assert profile.certificate_depth >= depth
-                for e in range(1, depth + 1):
-                    assert digit(alpha, p, e) + digit(beta, p, e) <= p - 1
-            else:
-                seen_finite += 1
-                for e in range(1, profile.L + 1):
-                    assert digit(alpha, p, e) + digit(beta, p, e) <= p - 1
-                assert digit(alpha, p, profile.L + 1) + digit(beta, p, profile.L + 1) >= p
-                if profile.d is not None:
-                    assert 1 <= profile.d <= profile.L
-                    assert digit(alpha, p, profile.d) + digit(beta, p, profile.d) <= p - 2
-                    for e in range(profile.d + 1, profile.L + 1):
-                        assert digit(alpha, p, e) + digit(beta, p, e) == p - 1
+            seen_finite += check_profile_against_digits(alpha, beta, p)
         assert seen_finite > 50
+
+    def test_large_primes_against_digit_sums(self):
+        # eta of x^97*y^3 + x^5*y^101: periods up to 792 digits near 10^6
+        alpha, beta = Fraction(48, 4891), Fraction(47, 4891)
+        for p in (999983, 1000003, 1000033):
+            check_profile_against_digits(alpha, beta, p)
 
     def test_constant_digit_law(self):
         # values with (p-1)*alpha integral have constant expansions, so

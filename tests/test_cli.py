@@ -135,6 +135,19 @@ class TestScan:
         nu = nu_semigroup(NuQuery(Binomial(("x", "y"), (2, 0), (0, 3)), 7, 2))
         assert 49 * truncate(value, 7, 2) == nu
 
+    def test_geometry_derived_once(self, capsys, monkeypatch):
+        import binomial_fpt.engine as engine
+
+        calls = []
+        maximal_point = engine.maximal_point
+        monkeypatch.setattr(
+            engine, "maximal_point", lambda m: calls.append(m) or maximal_point(m)
+        )
+        code, out, _ = run(capsys, "scan", "x^7*y^2 + x^5*y^6", "--primes", "2..500", "--json")
+        assert code == EXIT_OK
+        assert len(json.loads(out)["rows"]) == 95
+        assert len(calls) == 1
+
     def test_empty_range(self, capsys):
         code, _, err = run(capsys, "scan", COMP, "--primes", "24..28")
         assert code == EXIT_BAD_INPUT

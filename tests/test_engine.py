@@ -5,8 +5,10 @@ from random import Random
 
 import pytest
 
+import binomial_fpt.engine as engine
 from binomial_fpt import (
     Binomial,
+    CarryProfile,
     FptCase,
     NuQuery,
     Point2,
@@ -20,6 +22,7 @@ from binomial_fpt import (
     monomial_fpt,
     nu_naive,
     nu_semigroup,
+    prepare,
     scaled_truncation,
     tail,
     truncate,
@@ -131,6 +134,53 @@ class TestMinRule:
     def test_non_vanishing_rejected(self):
         with pytest.raises(ValueError, match="does not vanish at the origin"):
             fpt(Binomial(("y",), (0,), (1,)), 5)
+
+
+class TestPlan:
+    def test_plan_agrees_with_fpt_and_limit(self):
+        rng = Random(306)
+        for _ in range(40):
+            g = random_binomial(rng)
+            plan = prepare(g)
+            assert plan.limit == fpt_limit(g)
+            for p in (2, 3, 5, 7, 11):
+                assert plan.at(p) == fpt(g, p)
+
+    def test_composite_prime_rejected(self):
+        with pytest.raises(ValueError, match="p must be prime"):
+            prepare(COMP).at(4)
+
+    def test_non_vanishing_rejected(self):
+        with pytest.raises(ValueError, match="does not vanish at the origin"):
+            prepare(Binomial(("y",), (0,), (1,)))
+
+
+class TestCarryStepGuards:
+    """Each invariant carry_step checks raises when forced to fail, so
+    the checks hold under python -O as well."""
+
+    def test_carry_profile_out_of_range(self, monkeypatch):
+        monkeypatch.setattr(engine, "carry_profile", lambda a, b, p: CarryProfile(1, 2, 2))
+        with pytest.raises(RuntimeError, match="out of range"):
+            fpt(COMP, 37)
+
+    def test_digit_carry_identity(self, monkeypatch):
+        # the true profile at p = 37 is L = d = 2
+        monkeypatch.setattr(engine, "carry_profile", lambda a, b, p: CarryProfile(2, 1, 3))
+        with pytest.raises(RuntimeError, match="digit-carry identity"):
+            fpt(COMP, 37)
+
+    def test_epsilon_bounds(self, monkeypatch):
+        monkeypatch.setattr(engine, "tail", lambda alpha, p, e: Fraction(0))
+        with pytest.raises(RuntimeError, match="epsilon outside"):
+            fpt(COMP, 37)
+
+    def test_epsilon_equality_law(self, monkeypatch):
+        # epsilon = 3/6845 at p = 37 sits strictly below the tail, and
+        # no candidate coordinate lies on the 37^-2 lattice
+        monkeypatch.setattr(engine, "tail", lambda alpha, p, e: Fraction(3, 6845))
+        with pytest.raises(RuntimeError, match="equality criterion"):
+            fpt(COMP, 37)
 
 
 class TestTruncationAndLimit:

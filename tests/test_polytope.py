@@ -8,10 +8,8 @@ import pytest
 from binomial_fpt import (
     Axis,
     Point2,
-    Region,
     SplittingMatrix,
     build,
-    classify_region,
     contains,
     contains_lower_interior,
     maximal_point,
@@ -144,37 +142,6 @@ class TestMaximalPoint:
                 s = random_feasible_point(rng, matrix)
                 assert s.s1 + s.s2 <= mp.sum
                 checked += 1
-
-
-class TestClassifyRegion:
-    def test_figure_regions(self):
-        eta = maximal_point(FIG1).point
-        assert classify_region(FIG1, eta, frac_point(0, 1, 1, 9)) is Region.UPPER_LEFT
-        assert classify_region(FIG1, eta, frac_point(1, 7, 0, 1)) is Region.STAR
-        assert classify_region(FIG1, eta, Point2(Fraction(0), Fraction(0))) is Region.BELOW
-
-    def test_eta_itself_is_upper_left(self):
-        eta = maximal_point(FIG1).point
-        assert classify_region(FIG1, eta, eta) is Region.UPPER_LEFT
-
-    def test_outside_point_rejected(self):
-        eta = maximal_point(FIG1).point
-        with pytest.raises(ValueError):
-            classify_region(FIG1, eta, Point2(Fraction(2), Fraction(2)))
-
-    def test_decomposition_is_total(self):
-        rng = Random(204)
-        for _ in range(100):
-            matrix = random_core_matrix(rng)
-            eta = maximal_point(matrix).point
-            s = random_feasible_point(rng, matrix)
-            region = classify_region(matrix, eta, s)
-            if region is Region.UPPER_LEFT:
-                assert s.s2 >= eta.s2
-            elif region is Region.STAR:
-                assert s.s1 >= eta.s1 and s.s2 < eta.s2
-            else:
-                assert s.s1 <= eta.s1 and s.s2 <= eta.s2
 
 
 class TestRayMaxDelta:
