@@ -117,7 +117,8 @@ def expand(alpha: Fraction, p: int) -> DigitExpansion:
 def positional_digits(alpha: Fraction, p: int) -> tuple[list[int], list[int]]:
     """Display digits of alpha: (leading digits, repeating block).
 
-    Unlike expand(), values with a p-power denominator come back in
+    Read off expand(): values with a p-power denominator end in the
+    period (p - 1,), which folds into the last leading digit to give
     their terminating form, with an empty repeating block.
     """
     _check_unit_interval(alpha)
@@ -126,19 +127,13 @@ def positional_digits(alpha: Fraction, p: int) -> tuple[list[int], list[int]]:
         return [0], []
     if alpha == 1:
         return [], []  # no fractional digits; callers render the integer part
-    den = alpha.denominator
-    num = alpha.numerator
-    digits: list[int] = []
-    seen: dict[int, int] = {}
-    while num and num not in seen:
-        seen[num] = len(digits)
-        dg = (p * num) // den
-        digits.append(dg)
-        num = p * num - dg * den
-    if num == 0:
-        return digits, []
-    start = seen[num]
-    return digits[:start], digits[start:]
+    digits = expand(alpha, p)
+    head, block = list(digits.preperiod), list(digits.period)
+    if block == [p - 1]:
+        # alpha < 1 leaves a preperiod; minimality keeps its last digit below p - 1
+        head[-1] += 1
+        return head, []
+    return head, block
 
 
 def render_positional(alpha: Fraction, p: int) -> str:

@@ -17,7 +17,7 @@ from .base_p import render_positional
 from .engine import FptResult, fpt, fpt_limit, prepare
 from .oracle import BudgetExceeded, NuQuery, nu_monomial, nu_naive, nu_semigroup, verify
 from .parsing import ParseError, parse, parse_monomial
-from .polytope import build, maximal_point, point_to_json, vertices
+from .polytope import build, maximal_point, vertices
 from .primes import is_prime, primes_between
 from .svg import polytope_figure
 
@@ -162,21 +162,14 @@ def _cmd_polytope(args) -> int:
     g = parse(args.poly)
     if args.prime is not None:
         _require_prime(args.prime)
-    matrix = build(g.a, g.b)
     if args.svg:
         figure = polytope_figure(g, args.prime, args.level)
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(figure)
         print(f"wrote {args.svg}")
     if args.json or not args.svg:
-        verts = vertices(matrix)
-        mp = maximal_point(matrix)
-        data = {
-            "rows": [[a, b] for a, b in matrix.rows],
-            "vertices": [point_to_json(v) for v in verts],
-            "maximal_point": None if mp is None else point_to_json(mp.point),
-            "eta_sum": None if mp is None else str(mp.sum),
-        }
+        matrix = build(g.a, g.b)
+        data = jsonio.polytope_to_json(matrix, vertices(matrix), maximal_point(matrix))
         print(json.dumps(data))
     return EXIT_OK
 
@@ -233,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (_CliError, ParseError, ValueError) as exc:
+    except (_CliError, ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except BudgetExceeded as exc:

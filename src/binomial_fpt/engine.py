@@ -160,7 +160,7 @@ def factor(g: Binomial) -> Factorization:
     core = Binomial(
         tuple(core_vars), tuple(core_a), tuple(core_b), g.coeff1, g.coeff2
     )
-    unit = not any(core_a) or not any(core_b)
+    unit = not core.vanishes_at_origin()
     return Factorization(tuple(mono_vars), tuple(mono_exps), core, unit)
 
 
@@ -176,14 +176,6 @@ def monomial_fpt(exponents: tuple[int, ...]) -> Fraction | None:
 
 def _in_lattice(value: Fraction, denominator: int) -> bool:
     return (value * denominator).denominator == 1
-
-
-def _core_geometry(core: Binomial) -> tuple[SplittingMatrix, MaximalPoint]:
-    matrix = build(core.a, core.b)
-    mp = maximal_point(matrix)
-    if mp is None:
-        raise RuntimeError("constant row reached core")
-    return matrix, mp
 
 
 def _candidate(matrix: SplittingMatrix, point: Point2, axis: Axis) -> Candidate:
@@ -290,20 +282,12 @@ def prepare(g: Binomial) -> Plan:
         if mono is None:
             raise ValueError("input does not vanish at the origin")
         return Plan(mono, None, mono)
-    matrix, mp = _core_geometry(parts.core)
+    matrix = build(parts.core.a, parts.core.b)
+    mp = maximal_point(matrix)
+    if mp is None:
+        raise RuntimeError("constant row reached core")
     limit = min(ONE, mp.sum) if mono is None else min(mono, ONE, mp.sum)
     return Plan(mono, (matrix, mp), limit)
-
-
-def core_fpt(core: Binomial, p: int) -> FptResult:
-    """Threshold of a core binomial (no equal-exponent variables)."""
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    if any(ai == bi for ai, bi in zip(core.a, core.b)):
-        raise ValueError("core must not contain equal-exponent variables")
-    if not core.vanishes_at_origin():
-        raise ValueError("core is a local unit")
-    return carry_step(*_core_geometry(core), p)
 
 
 def fpt(g: Binomial, p: int) -> FptResult:

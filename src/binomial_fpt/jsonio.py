@@ -13,6 +13,7 @@ from .base_p import positional_digits
 from .engine import Binomial, FptResult
 from .oracle import VerificationReport
 from .parsing import binomial_to_text
+from .polytope import MaximalPoint, Point2, SplittingMatrix
 
 
 def rational_to_json(x: Fraction) -> dict:
@@ -96,6 +97,22 @@ def oracle_to_json(
         "semigroup_nu": semigroup,
         "naive_nu": naive,
         "match": match,
+    }
+
+
+def polytope_to_json(
+    matrix: SplittingMatrix, verts: tuple[Point2, ...], mp: MaximalPoint | None
+) -> dict:
+    """Polytope data; points are pairs of rational strings such as "1/10"."""
+
+    def point(pt: Point2) -> list[str]:
+        return [str(pt.s1), str(pt.s2)]
+
+    return {
+        "rows": [[a, b] for a, b in matrix.rows],
+        "vertices": [point(v) for v in verts],
+        "maximal_point": None if mp is None else point(mp.point),
+        "eta_sum": None if mp is None else str(mp.sum),
     }
 
 

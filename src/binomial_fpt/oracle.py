@@ -32,6 +32,16 @@ class BudgetExceeded(Exception):
     """p^e is past the configured budget for an oracle."""
 
 
+def _check_budget(p: int, e: int, budget: int, name: str) -> None:
+    """Raise BudgetExceeded unless p^e <= budget.
+
+    Since p >= 2, every e >= budget.bit_length() is past the budget, so
+    a huge level fails before p^e is built.
+    """
+    if e >= budget.bit_length() or p**e > budget:
+        raise BudgetExceeded(f"p^e = {p}^{e} exceeds the {name} {budget}")
+
+
 @dataclass(frozen=True)
 class NuQuery:
     binomial: Binomial
@@ -66,9 +76,8 @@ class VerificationReport:
 def nu_semigroup(query: NuQuery, *, budget: int = SEMIGROUP_BUDGET) -> int:
     """max{k1 + k2 : E(k1,k2) <= p^e - 1 rowwise, carry-free addition}."""
     p, e = query.prime, query.level
+    _check_budget(p, e, budget, "semigroup budget")
     q = p**e
-    if q > budget:
-        raise BudgetExceeded(f"p^e = {q} exceeds the semigroup budget {budget}")
     g = query.binomial
     rows = list(zip(g.a, g.b))
     cap = q - 1
@@ -101,9 +110,8 @@ def nu_naive(query: NuQuery, *, budget: int = NAIVE_BUDGET) -> int:
     first zero.  Uses the supplied coefficients (defaults 1, 1).
     """
     p, e = query.prime, query.level
+    _check_budget(p, e, budget, "naive budget")
     q = p**e
-    if q > budget:
-        raise BudgetExceeded(f"p^e = {q} exceeds the naive budget {budget}")
     g = query.binomial
     c1 = 1 if g.coeff1 is None else g.coeff1 % p
     c2 = 1 if g.coeff2 is None else g.coeff2 % p
@@ -143,9 +151,8 @@ def nu_monomial(exponents: tuple[int, ...], prime: int, level: int, *, budget: i
         raise ValueError("level must be at least 1")
     if not any(exponents) or any(x < 0 for x in exponents):
         raise ValueError("monomial must be nonconstant with nonnegative exponents")
+    _check_budget(prime, level, budget, "budget")
     q = prime**level
-    if q > budget:
-        raise BudgetExceeded(f"p^e = {q} exceeds the budget {budget}")
     power = tuple(0 for _ in exponents)
     count = 0
     while True:
@@ -165,14 +172,14 @@ def verify(
     """Compare the engine's predicted nu(e) against both oracles.
 
     The naive oracle is skipped (reported as None) when p^e is past its
-    budget; the semigroup oracle always runs, so its budget still
-    applies.
+    budget; the semigroup oracle always runs, and first, so its budget
+    still applies before the prediction builds p^e.
     """
-    p, e = query.prime, query.level
-    predicted_nu = scaled_truncation(predicted.value, p, e)
     semigroup = nu_semigroup(query, budget=semigroup_budget)
-    naive: int | None = None
-    if p**e <= naive_budget:
-        naive = nu_naive(query, budget=naive_budget)
+    predicted_nu = scaled_truncation(predicted.value, query.prime, query.level)
+    try:
+        naive: int | None = nu_naive(query, budget=naive_budget)
+    except BudgetExceeded:
+        naive = None
     match = predicted_nu == semigroup and (naive is None or naive == predicted_nu)
     return VerificationReport(predicted_nu, semigroup, naive, match)

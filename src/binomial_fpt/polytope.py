@@ -177,7 +177,3 @@ def segment_meets_lower_interior(
     if lo_open is not None and hi_open is not None and lo_open >= hi_open:
         return False
     return True
-
-
-def point_to_json(pt: Point2) -> list[str]:
-    return [str(pt.s1), str(pt.s2)]

@@ -98,12 +98,6 @@ def _boundary_ring(verts: tuple[Point2, ...]) -> list[Point2]:
     return [origin, *others]
 
 
-def _axis_extents(matrix: SplittingMatrix) -> tuple[Fraction, Fraction]:
-    ext1 = min(Fraction(1, a) for a, _ in matrix.rows if a > 0)
-    ext2 = min(Fraction(1, b) for _, b in matrix.rows if b > 0)
-    return ext1, ext2
-
-
 def polytope_figure(
     g: Binomial, prime: int | None = None, level: int | None = None
 ) -> str:
@@ -111,8 +105,8 @@ def polytope_figure(
     verts = vertices(matrix)
     mp = maximal_point(matrix)
 
-    ext1, ext2 = _axis_extents(matrix)
-    m = max(ext1, ext2) * Fraction(11, 10)
+    # P reaches farthest at its axis vertices (1/max a_i, 0) and (0, 1/max b_i)
+    m = max(max(v) for v in verts) * Fraction(11, 10)
     main = _Panel(0, 0, m, m, 70, 50, 470)
 
     result = None if prime is None or mp is None else carry_step(matrix, mp, prime)

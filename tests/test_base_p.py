@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from binomial_fpt import (
+    DigitExpansion,
     adds_without_carrying,
     carry_profile,
     digit,
@@ -320,3 +321,47 @@ class TestRendering:
             if not pre and not per:
                 value = Fraction(1)
             assert value == alpha
+
+
+class TestPositionalDigits:
+    PRIMES = (2, 3, 37, 10007)
+
+    def test_p_power_denominators_terminate(self):
+        rng = Random(131)
+        for p in self.PRIMES:
+            for j in range(1, 7):
+                for _ in range(6):
+                    k = rng.randrange(1, p**j)
+                    while k % p == 0:
+                        k = rng.randrange(1, p**j)
+                    pre, per = positional_digits(Fraction(k, p**j), p)
+                    assert per == []
+                    assert len(pre) == j and pre[-1] != 0
+                    assert all(0 <= dg < p for dg in pre)
+                    assert sum(dg * p ** (j - 1 - i) for i, dg in enumerate(pre)) == k
+
+    def test_other_denominators_have_minimal_period(self):
+        # for den = p^v * c with gcd(c, p) = 1 and c > 1, the minimal
+        # preperiod has v digits and the minimal period ord_c(p)
+        rng = Random(137)
+        for p in self.PRIMES:
+            for _ in range(40):
+                c = rng.randint(2, 60)
+                if c % p == 0:
+                    continue
+                v = rng.randint(0, 3)
+                den = p**v * c
+                k = rng.randrange(1, den)
+                while math.gcd(k, den) != 1:
+                    k = rng.randrange(1, den)
+                alpha = Fraction(k, den)
+                pre, per = positional_digits(alpha, p)
+                order = next(t for t in range(1, c) if pow(p, t, c) == 1)
+                assert (len(pre), len(per)) == (v, order)
+                assert DigitExpansion(p, tuple(pre), tuple(per)).value() == alpha
+
+    def test_base_checked_before_shortcuts(self):
+        with pytest.raises(ValueError, match="base"):
+            positional_digits(Fraction(0), 1)
+        with pytest.raises(ValueError, match="base"):
+            positional_digits(Fraction(1), 1)

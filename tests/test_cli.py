@@ -211,6 +211,13 @@ class TestPolytope:
         assert "--level needs --prime" in err
         assert not target.exists()
 
+    def test_unwritable_svg_path(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "f.svg"
+        code, out, err = run(capsys, "polytope", COMP, "--svg", str(target))
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
+
     def test_svg_deterministic(self, capsys, tmp_path):
         first = tmp_path / "a.svg"
         second = tmp_path / "b.svg"
@@ -260,6 +267,22 @@ class TestOracleCommand:
         code, _, err = run(capsys, "oracle", COMP, "--prime", "43", "--level", "4")
         assert code == EXIT_BUDGET
         assert "budget" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("oracle", "x^2*y + x*y^3", "--prime", "11", "--level", "5000"),
+            ("compute", "x^2*y + x*y^3", "--prime", "11", "--verify", "5000"),
+            ("oracle", "x^3", "--prime", "11", "--level", "5000"),
+        ],
+        ids=["oracle", "verify", "monomial"],
+    )
+    def test_large_level_exits_on_budget(self, capsys, argv):
+        # 11^5000 has more digits than Python converts to text by default
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_BUDGET
+        assert err.count("\n") == 1 and len(err) < 80
+        assert "p^e = 11^5000 exceeds" in err
 
     def test_oracle_mismatch_exit_code(self, capsys, monkeypatch):
         import binomial_fpt.cli as cli

@@ -1,6 +1,10 @@
 """End-to-end threshold computation: factoring, min rule, case dispatch."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -14,7 +18,6 @@ from binomial_fpt import (
     Point2,
     build,
     contains_lower_interior,
-    core_fpt,
     factor,
     fpt,
     fpt_limit,
@@ -66,7 +69,7 @@ class TestMonomialFpt:
 
 class TestCoreCases:
     def test_carry_free_p47(self):
-        result = core_fpt(COMP, 47)
+        result = fpt(COMP, 47)
         assert result.value == Fraction(3, 16)
         assert result.case is FptCase.CARRY_FREE
         assert result.eta == (Fraction(1, 32), Fraction(5, 32))
@@ -74,14 +77,14 @@ class TestCoreCases:
         assert result.carry_free
 
     def test_truncated_p43(self):
-        result = core_fpt(COMP, 43)
+        result = fpt(COMP, 43)
         assert result.value == Fraction(8, 43)
         assert result.case is FptCase.TRUNCATED
         assert (result.L, result.d) == (1, 1)
         assert result.epsilon is None
 
     def test_truncated_plus_epsilon_p37(self):
-        result = core_fpt(COMP, 37)
+        result = fpt(COMP, 37)
         assert result.value == Fraction(1283, 6845)
         assert result.case is FptCase.TRUNCATED_PLUS_EPSILON
         assert (result.L, result.d) == (2, 2)
@@ -91,7 +94,7 @@ class TestCoreCases:
     def test_standard_above_one(self):
         g = Binomial(("x", "y"), (1, 0), (0, 2))
         for p in (2, 5, 11):
-            result = core_fpt(g, p)
+            result = fpt(g, p)
             assert result.value == 1
             assert result.case is FptCase.STANDARD_GT1
             assert result.eta_sum == Fraction(3, 2)
@@ -101,7 +104,7 @@ class TestCoreCases:
     def test_divisible_monomial_lands_carry_free(self):
         g = Binomial(("x",), (2,), (5,))
         for p in (2, 3, 7):
-            result = core_fpt(g, p)
+            result = fpt(g, p)
             assert result.case is FptCase.CARRY_FREE
             assert result.value == Fraction(1, 2)
             assert result.eta == (Fraction(1, 2), Fraction(0))
@@ -181,6 +184,23 @@ class TestCarryStepGuards:
         monkeypatch.setattr(engine, "tail", lambda alpha, p, e: Fraction(3, 6845))
         with pytest.raises(RuntimeError, match="equality criterion"):
             fpt(COMP, 37)
+
+
+class TestOptimizedRun:
+    def test_guards_fire_under_python_O(self):
+        """python -O strips assert statements, so the four carry_step
+        guard tests must still pass in a child run with that flag."""
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(root / "src"), env.get("PYTHONPATH")))
+        )
+        child = subprocess.run(
+            [sys.executable, "-O", "-m", "pytest", "tests/test_engine.py",
+             "-k", "CarryStepGuards", "-q", "-p", "no:cacheprovider"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert "4 passed" in child.stdout, child.stdout + child.stderr
 
 
 class TestTruncationAndLimit:

@@ -41,6 +41,12 @@ class TestNuSemigroup:
             nu_semigroup(NuQuery(COMP, 131, 3))
         assert nu_semigroup(NuQuery(COMP, 131, 2), budget=131**2) >= 0
 
+    def test_budget_message_names_the_power(self):
+        # 11^1000000 has over a million digits, so the message must not print it
+        with pytest.raises(BudgetExceeded) as info:
+            nu_semigroup(NuQuery(COMP, 11, 10**6))
+        assert str(info.value) == "p^e = 11^1000000 exceeds the semigroup budget 16384"
+
 
 class TestNuNaive:
     def test_squares_p3(self):
