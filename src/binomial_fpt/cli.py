@@ -130,11 +130,11 @@ def _cmd_scan(args) -> int:
         raise _CliError("--primes expects LO..HI") from None
     if (args.mod is None) != (args.residue is None):
         raise _CliError("--mod and --residue go together")
+    if args.mod is not None and args.mod < 1:
+        raise _CliError("--mod must be positive")
     g = parse(args.poly)
     primes = primes_between(lo, hi)
     if args.mod is not None:
-        if args.mod < 1:
-            raise _CliError("--mod must be positive")
         primes = [p for p in primes if p % args.mod == args.residue % args.mod]
     if not primes:
         raise _CliError("empty prime range")

@@ -6,7 +6,8 @@ matrix E has rows (a_i, b_i) and the splitting polytope is
     P = { s in R^2 : s >= 0 and E s <= 1 }.
 
 Everything here is exact: points are pairs of Fractions, vertices come
-from pairwise line intersections, and all comparisons are rational.
+from an upper-hull walk over the integer rows, and all comparisons are
+rational.
 The "lower interior" of P requires every row constraint to hold
 strictly; the coordinate inequalities s1, s2 >= 0 may be tight.
 """
@@ -70,33 +71,33 @@ def contains_lower_interior(matrix: SplittingMatrix, s: Point2) -> bool:
     return all(a * s.s1 + b * s.s2 < 1 for a, b in matrix.rows)
 
 
-def _is_bounded(matrix: SplittingMatrix) -> bool:
-    return any(a > 0 for a, _ in matrix.rows) and any(b > 0 for _, b in matrix.rows)
-
-
 def vertices(matrix: SplittingMatrix) -> tuple[Point2, ...]:
     """All vertices of P, sorted by s1 then s2.
 
-    Candidates are intersections of pairs drawn from the constraint
-    lines a_i x + b_i y = 1 together with the axes x = 0 and y = 0;
-    feasible candidates are vertices and every vertex arises this way.
+    The rows that bound P are the upper convex hull of the row points
+    (a_i, b_i), walked from the last row with the largest b to the row
+    with the largest a; each pair of consecutive hull rows meets at a
+    vertex, and the axes add (0, 0), (0, 1/max b) and (1/max a, 0).
+    Cross products are on integers, so the walk is O(m log m).
     """
-    lines = [(Fraction(a), Fraction(b), Fraction(1)) for a, b in matrix.rows]
-    lines.append((Fraction(1), Fraction(0), Fraction(0)))
-    lines.append((Fraction(0), Fraction(1), Fraction(0)))
-    found: set[Point2] = set()
-    for i in range(len(lines)):
-        a1, b1, c1 = lines[i]
-        for j in range(i + 1, len(lines)):
-            a2, b2, c2 = lines[j]
-            det = a1 * b2 - a2 * b1
-            if det == 0:
-                continue
-            x = (c1 * b2 - c2 * b1) / det
-            y = (a1 * c2 - a2 * c1) / det
-            pt = Point2(x, y)
-            if contains(matrix, pt):
-                found.add(pt)
+    hull: list[tuple[int, int]] = []
+    for row in sorted(matrix.rows):
+        while len(hull) >= 2:
+            (a0, b0), (a1, b1) = hull[-2], hull[-1]
+            if (a1 - a0) * (row[1] - b0) < (b1 - b0) * (row[0] - a0):
+                break
+            hull.pop()
+        hull.append(row)
+    top = max(range(len(hull)), key=lambda i: (hull[i][1], i), default=None)
+    if top is None or hull[-1][0] == 0 or hull[top][1] == 0:
+        raise ValueError("splitting polytope is unbounded")
+    chain = hull[top:]
+    zero = Fraction(0)
+    found = [Point2(zero, zero), Point2(zero, Fraction(1, chain[0][1]))]
+    found.append(Point2(Fraction(1, chain[-1][0]), zero))
+    for (a1, b1), (a2, b2) in zip(chain, chain[1:]):
+        det = a1 * b2 - a2 * b1
+        found.append(Point2(Fraction(b2 - b1, det), Fraction(a1 - a2, det)))
     return tuple(sorted(found))
 
 
@@ -107,8 +108,6 @@ def maximal_point(matrix: SplittingMatrix) -> MaximalPoint | None:
     A row with a_i = b_i makes the objective constant along that
     constraint, which is the only way uniqueness can fail.
     """
-    if not _is_bounded(matrix):
-        raise ValueError("splitting polytope is unbounded")
     verts = vertices(matrix)
     best = max(v.s1 + v.s2 for v in verts)
     argmax = [v for v in verts if v.s1 + v.s2 == best]

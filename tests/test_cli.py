@@ -163,6 +163,17 @@ class TestScan:
         assert code == EXIT_BAD_INPUT
         assert "go together" in err
 
+    def test_mod_checked_before_sieving(self, capsys, monkeypatch):
+        import binomial_fpt.cli as cli
+
+        def sieve(lo, hi):
+            raise AssertionError("the window was sieved before --mod was checked")
+
+        monkeypatch.setattr(cli, "primes_between", sieve)
+        code, _, err = run(capsys, "scan", COMP, "--primes", "2..50", "--mod", "0", "--residue", "1")
+        assert code == EXIT_BAD_INPUT
+        assert "--mod must be positive" in err
+
 
 class TestPolytope:
     def test_figure_json(self, capsys):

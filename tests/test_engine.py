@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -156,6 +157,23 @@ class TestPlan:
     def test_non_vanishing_rejected(self):
         with pytest.raises(ValueError, match="does not vanish at the origin"):
             prepare(Binomial(("y",), (0,), (1,)))
+
+
+class TestLargeCore:
+    def test_512_row_core_runs_in_wall_clock_budget(self):
+        # the vertex walk is O(m log m); a cubic one takes seconds here
+        rng = Random(307)
+        rows = []
+        while len(rows) < 512:
+            a, b = rng.randint(1, 1000), rng.randint(1, 1000)
+            if a != b:
+                rows.append((a, b))
+        names = tuple(f"x{i}" for i in range(512))
+        g = Binomial(names, tuple(a for a, _ in rows), tuple(b for _, b in rows))
+        for p in (2, 10007):
+            start = time.perf_counter()
+            fpt(g, p)
+            assert time.perf_counter() - start < 0.5
 
 
 class TestCarryStepGuards:

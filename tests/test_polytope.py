@@ -29,6 +29,61 @@ def frac_point(n1, d1, n2, d2) -> Point2:
     return Point2(Fraction(n1, d1), Fraction(n2, d2))
 
 
+def pairwise_vertices(matrix: SplittingMatrix) -> tuple[Point2, ...]:
+    """Reference: every feasible intersection of two of the m + 2 lines.
+
+    Line (a, b, c) is a*s1 + b*s2 = c; a meeting point is kept as the
+    integers (x, y) over det > 0 so the feasibility test stays exact.
+    """
+    lines = [(a, b, 1) for a, b in matrix.rows] + [(1, 0, 0), (0, 1, 0)]
+    found: set[Point2] = set()
+    for i, (a1, b1, c1) in enumerate(lines):
+        for a2, b2, c2 in lines[i + 1 :]:
+            det = a1 * b2 - a2 * b1
+            sign = 1 if det > 0 else -1
+            x, y, det = sign * (c1 * b2 - c2 * b1), sign * (a1 * c2 - a2 * c1), sign * det
+            if det and x >= 0 and y >= 0 and all(a * x + b * y <= det for a, b in matrix.rows):
+                found.add(Point2(Fraction(x, det), Fraction(y, det)))
+    return tuple(sorted(found))
+
+
+def pairwise_maximal_point(matrix: SplittingMatrix) -> tuple[Point2, Fraction] | None:
+    verts = pairwise_vertices(matrix)
+    best = max(v.s1 + v.s2 for v in verts)
+    argmax = [v for v in verts if v.s1 + v.s2 == best]
+    return (argmax[0], best) if len(argmax) == 1 else None
+
+
+def matches_pairwise_reference(matrix: SplittingMatrix) -> bool:
+    """Assert vertices and maximal_point agree with the reference;
+    True when the maximal point is unique."""
+    assert vertices(matrix) == pairwise_vertices(matrix)
+    mp = maximal_point(matrix)
+    assert (None if mp is None else (mp.point, mp.sum)) == pairwise_maximal_point(matrix)
+    return mp is not None
+
+
+def random_bounded_rows(rng: Random) -> tuple[tuple[int, int], ...]:
+    """Rows with a = 0, b = 0, a = b and repeats, bounding P."""
+    while True:
+        rows: list[tuple[int, int]] = []
+        for _ in range(rng.randint(1, 7)):
+            kind = rng.random()
+            k = rng.randint(1, 9)
+            if kind < 0.15:
+                rows.append((0, k))
+            elif kind < 0.3:
+                rows.append((k, 0))
+            elif kind < 0.45:
+                rows.append((k, k))
+            elif kind < 0.6 and rows:
+                rows.append(rng.choice(rows))
+            else:
+                rows.append((rng.randint(1, 9), rng.randint(1, 9)))
+        if any(a for a, _ in rows) and any(b for _, b in rows):
+            return tuple(rows)
+
+
 def random_feasible_point(rng: Random, matrix: SplittingMatrix) -> Point2:
     """A random point of P: a convex combination of two vertices."""
     verts = vertices(matrix)
@@ -110,6 +165,26 @@ class TestVertices:
                 tight = sum(1 for a, b in matrix.rows if a * v.s1 + b * v.s2 == 1)
                 tight += (v.s1 == 0) + (v.s2 == 0)
                 assert tight >= 2
+
+    def test_hull_walk_matches_pairwise_reference(self):
+        rng = Random(209)
+        matrices = [SplittingMatrix(random_bounded_rows(rng)) for _ in range(2500)]
+        unique = sum(matches_pairwise_reference(matrix) for matrix in matrices)
+        assert 500 < unique < 2000
+
+    @pytest.mark.parametrize(
+        "rows",
+        [((1, 3), (2, 2), (3, 1)), ((3, 0), (1, 1)), ((0, 3), (1, 1))],
+        ids=["collinear-hull-rows", "vertical-edge", "horizontal-edge"],
+    )
+    def test_hull_walk_hand_cases(self, rows):
+        matches_pairwise_reference(SplittingMatrix(rows))
+
+    @pytest.mark.parametrize("rows", [((1, 0),), ((0, 2), (0, 1))])
+    def test_unbounded_rejected(self, rows):
+        for function in (vertices, maximal_point):
+            with pytest.raises(ValueError, match="^splitting polytope is unbounded$"):
+                function(SplittingMatrix(rows))
 
 
 class TestMaximalPoint:
