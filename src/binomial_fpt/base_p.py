@@ -17,7 +17,8 @@ from fractions import Fraction
 
 
 def _check_unit_interval(alpha: Fraction) -> None:
-    if alpha < 0 or alpha > 1:
+    # compared as integers, which is several times cheaper than as Fractions
+    if not 0 <= alpha.numerator <= alpha.denominator:
         raise ValueError("value must lie in [0, 1]")
 
 

@@ -16,29 +16,22 @@ point eta of its splitting polytope:
 
 The threshold of the product is the minimum of the two parts.  Only
 the digits of eta depend on p, so prepare(g) derives the factorization,
-the geometry and the limit once and Plan.at(p) does the rest.  The
-dispatch checks the digit-carry identity and the epsilon bounds it
-relies on, so a violated expectation raises RuntimeError instead of
-returning a wrong value.
+the geometry and the limit once and Plan.at(p) does the rest.  That
+carry step runs on integers: eta is read as (n1, n2, D), its
+coordinates over their least common denominator D.  The step checks
+the digit-carry identity and the epsilon bounds it relies on, so a
+violated expectation raises RuntimeError instead of a wrong value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
 from .base_p import carry_profile, tail, truncate
-from .polytope import (
-    Axis,
-    MaximalPoint,
-    Point2,
-    SplittingMatrix,
-    build,
-    contains_lower_interior,
-    maximal_point,
-    ray_max_delta,
-)
+from .polytope import Axis, MaximalPoint, Point2, SplittingMatrix, build, maximal_point
 from .primes import is_prime
 
 ONE = Fraction(1)
@@ -174,70 +167,77 @@ def monomial_fpt(exponents: tuple[int, ...]) -> Fraction | None:
     return Fraction(1, max(positive))
 
 
-def _in_lattice(value: Fraction, denominator: int) -> bool:
-    return (value * denominator).denominator == 1
-
-
-def _candidate(matrix: SplittingMatrix, point: Point2, axis: Axis) -> Candidate:
-    inside = contains_lower_interior(matrix, point)
-    delta = ray_max_delta(matrix, point, axis) if inside else None
-    return Candidate(point, axis, inside, delta)
-
-
 def carry_step(matrix: SplittingMatrix, mp: MaximalPoint, p: int) -> FptResult:
     """Threshold read off the maximal point mp of the polytope of matrix.
 
     This is the one place epsilon is derived: the engine calls it on a
     core's matrix and the figure on its own.  mp is given, so no
-    vertices are enumerated here.
+    vertices are enumerated here.  Every point it tests is (X, Y) / p^d,
+    so it builds Fractions only for the fields it records.
     """
     eta, eta_sum = mp.point, mp.sum
-    if eta_sum > 1:
-        return FptResult(ONE, FptCase.STANDARD_GT1, eta=eta, eta_sum=eta_sum)
+    den = lcm(eta.s1.denominator, eta.s2.denominator)
+    n1 = eta.s1.numerator * (den // eta.s1.denominator)
+    n2 = eta.s2.numerator * (den // eta.s2.denominator)
+    if n1 + n2 > den:
+        return FptResult(
+            ONE, FptCase.STANDARD_GT1, eta=eta, eta_sum=eta_sum, core_fpt=ONE
+        )
     profile = carry_profile(eta.s1, eta.s2, p)
     if profile.carry_free:
         return FptResult(
-            eta_sum, FptCase.CARRY_FREE, eta=eta, eta_sum=eta_sum, carry_free=True
+            eta_sum, FptCase.CARRY_FREE, eta=eta, eta_sum=eta_sum, carry_free=True,
+            core_fpt=eta_sum,
         )
     L, d = profile.L, profile.d
     if d is None:
         raise RuntimeError("no digit position with sum <= p - 2 before the carry")
     if not 1 <= d <= L:
         raise RuntimeError(f"carry profile out of range: L={L}, d={d}")
-    step = Fraction(1, p**d)
-    t1 = truncate(eta.s1, p, d)
-    t2 = truncate(eta.s2, p, d)
-    trunc_sum = truncate(eta_sum, p, L)
-    if t1 + t2 + step != trunc_sum:
+    # p^k <eta>_k is ceil(n p^k / D) - 1, and 0 for a zero coordinate
+    q = p**d
+    t1 = (n1 * q - 1) // den if n1 else 0
+    t2 = (n2 * q - 1) // den if n2 else 0
+    s = ((n1 + n2) * p**L - 1) // den
+    if (t1 + t2 + 1) * p ** (L - d) != s:
         raise RuntimeError("digit-carry identity violated")
     # Only rays whose own base candidate lies in the lower interior
     # count: a base sitting on a polytope face parallel to its ray
     # direction never enters the open region, so clipping that ray
     # against the closed polytope would overstate the correction (the
     # brute-force nu ladder comes out one short of such a value).
-    right = _candidate(matrix, Point2(t1 + step, t2), Axis.AXIS2)
-    up = _candidate(matrix, Point2(t1, t2 + step), Axis.AXIS1)
-    truncated = FptResult(
-        trunc_sum, FptCase.TRUNCATED, eta=eta, eta_sum=eta_sum, carry_free=False,
-        L=L, d=d, truncation=Point2(t1, t2), candidates=(right, up),
-    )
-    deltas = [c.delta for c in (right, up) if c.inside]
-    if not deltas:
-        return truncated
-    epsilon = max(deltas)
-    sum_tail = tail(eta_sum, p, L)
-    if not 0 < epsilon <= sum_tail:
-        raise RuntimeError("epsilon outside its proven bounds")
-    on_lattice = (right.inside and _in_lattice(eta.s1, p**d)) or (
-        up.inside and _in_lattice(eta.s2, p**d)
-    )
-    if (epsilon == sum_tail) != on_lattice:
-        raise RuntimeError("epsilon equality criterion violated")
-    return replace(
-        truncated,
-        value=trunc_sum + epsilon,
-        case=FptCase.TRUNCATED_PLUS_EPSILON,
-        epsilon=epsilon,
+    candidates = []
+    for x, y, axis, coord in ((t1 + 1, t2, Axis.AXIS2, 1), (t1, t2 + 1, Axis.AXIS1, 0)):
+        slacks = [(q - a * x - b * y, (a, b)[coord]) for a, b in matrix.rows]
+        delta = None
+        if all(slack > 0 for slack, _ in slacks):
+            # the ray's reach: the least slack / c over the rows it climbs
+            least = None
+            for slack, c in slacks:
+                if c > 0 and (least is None or slack * least[1] < least[0] * c):
+                    least = (slack, c)
+            delta = Fraction(least[0], least[1] * q)
+        point = Point2(Fraction(x, q), Fraction(y, q))
+        candidates.append(Candidate(point, axis, delta is not None, delta))
+    right, up = candidates
+    value, case, epsilon = Fraction(s, p**L), FptCase.TRUNCATED, None
+    deltas = [c.delta for c in candidates if c.inside]
+    if deltas:
+        epsilon = max(deltas)
+        sum_tail = tail(eta_sum, p, L)
+        if not 0 < epsilon <= sum_tail:
+            raise RuntimeError("epsilon outside its proven bounds")
+        on_lattice = (right.inside and n1 * q % den == 0) or (
+            up.inside and n2 * q % den == 0
+        )
+        if (epsilon == sum_tail) != on_lattice:
+            raise RuntimeError("epsilon equality criterion violated")
+        value, case = value + epsilon, FptCase.TRUNCATED_PLUS_EPSILON
+    return FptResult(
+        value, case, eta=eta, eta_sum=eta_sum, carry_free=False, L=L, d=d,
+        epsilon=epsilon, core_fpt=value,
+        truncation=Point2(Fraction(t1, q), Fraction(t2, q)),
+        candidates=(right, up),
     )
 
 
@@ -264,13 +264,12 @@ class Plan:
             return FptResult(mono, FptCase.MONOMIAL_ONLY, monomial_fpt=mono)
         core = carry_step(*self.core, p)
         if mono is None:
-            return replace(core, core_fpt=core.value)
-        return replace(
-            core,
-            value=min(mono, core.value),
-            case=FptCase.MIN_COMBINED,
-            monomial_fpt=mono,
-            core_fpt=core.value,
+            return core
+        return FptResult(
+            min(mono, core.value), FptCase.MIN_COMBINED, eta=core.eta,
+            eta_sum=core.eta_sum, carry_free=core.carry_free, L=core.L, d=core.d,
+            epsilon=core.epsilon, monomial_fpt=mono, core_fpt=core.value,
+            truncation=core.truncation, candidates=core.candidates,
         )
 
 

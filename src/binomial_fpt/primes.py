@@ -1,4 +1,4 @@
-"""Prime utilities: an exact primality test and a windowed sieve."""
+"""Prime utilities: an exact primality test and a windowed prime list."""
 
 from __future__ import annotations
 
@@ -8,6 +8,16 @@ from math import isqrt
 # bound (Sorenson and Webster, 2015).
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+# (bound, k): the first k bases are exact below bound, each bound being
+# the least strong pseudoprime to those bases (Jaeschke, 1993; Jiang and
+# Deng, 2014; Sorenson and Webster, 2015).
+_BASE_TABLE = (
+    (2047, 1), (1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4),
+    (2_152_302_898_747, 5), (3_474_749_660_383, 6), (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9), (318_665_857_834_031_151_167_461, 12),
+    (_EXACT_BELOW, 13),
+)
 
 
 def is_prime(n: int) -> bool:
@@ -23,7 +33,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _BASES:
+    k = next(k for bound, k in _BASE_TABLE if n < bound)
+    for a in _BASES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -40,12 +51,18 @@ def primes_between(lo: int, hi: int) -> list[int]:
     """Primes in the inclusive range [lo, hi], ascending.
 
     A segmented sieve: the primes up to sqrt(hi) strike their multiples
-    inside the window only, so memory is O(sqrt(hi) + hi - lo).
+    inside the window only, so memory is O(sqrt(hi) + hi - lo).  When
+    sqrt(hi) exceeds 2^20 that base would dwarf any window, so each
+    number is tested with is_prime instead; ValueError beyond its range.
     """
     lo = max(lo, 2)
     if hi < lo:
         return []
+    if hi >= _EXACT_BELOW:
+        raise ValueError(f"{hi} is too large for the primality test")
     root = isqrt(hi)
+    if root > 2**20:
+        return [n for n in range(lo, hi + 1) if is_prime(n)]
     base = bytearray([1]) * (root + 1)
     window = bytearray([1]) * (hi - lo + 1)
     for f in range(2, root + 1):

@@ -1,6 +1,7 @@
 """Command line behaviour, exit codes, JSON schemas, SVG determinism."""
 
 import json
+import time
 
 import jsonschema
 import pytest
@@ -147,6 +148,31 @@ class TestScan:
         assert code == EXIT_OK
         assert len(json.loads(out)["rows"]) == 95
         assert len(calls) == 1
+
+    def test_large_magnitude_window(self, capsys):
+        from binomial_fpt import Binomial, prepare
+        from binomial_fpt.primes import is_prime
+
+        lo, hi = 10**16, 10**16 + 100
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "scan", COMP, "--primes", f"{lo}..{hi}", "--json")
+        assert time.perf_counter() - start < 2
+        assert code == EXIT_OK
+        g = Binomial(("x", "y"), (7, 2), (5, 6))
+        plan = prepare(g)
+        rows = [(p, plan.at(p)) for p in range(lo, hi + 1) if is_prime(p)]
+        assert json.loads(out) == jsonio.scan_to_json(g, lo, hi, None, plan.limit, rows)
+
+    def test_window_beyond_the_primality_test(self, capsys):
+        code, out, err = run(
+            capsys, "scan", COMP, "--primes",
+            "3317044064679887385961981..3317044064679887385961999",
+        )
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.splitlines() == [
+            "error: 3317044064679887385961999 is too large for the primality test"
+        ]
 
     def test_empty_range(self, capsys):
         code, _, err = run(capsys, "scan", COMP, "--primes", "24..28")

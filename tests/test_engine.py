@@ -4,7 +4,9 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from random import Random
 
@@ -12,12 +14,14 @@ import pytest
 
 import binomial_fpt.engine as engine
 from binomial_fpt import (
+    Axis,
     Binomial,
     CarryProfile,
     FptCase,
     NuQuery,
     Point2,
     build,
+    carry_profile,
     contains_lower_interior,
     factor,
     fpt,
@@ -27,10 +31,12 @@ from binomial_fpt import (
     nu_naive,
     nu_semigroup,
     prepare,
+    ray_max_delta,
     scaled_truncation,
     tail,
     truncate,
 )
+from binomial_fpt.primes import primes_between
 
 from conftest import random_binomial
 
@@ -342,3 +348,111 @@ class TestResultShape:
             result = fpt(g, p)
             predicted = p**e * fpt_truncation(result, p, e)
             assert predicted == nu_semigroup(NuQuery(g, p, e))
+
+
+def reference_carry_step(matrix, mp, p):
+    """The carry step on Fractions, as it stood before it moved to
+    integers: a test-only reference for the engine's integer one."""
+    eta, eta_sum = mp.point, mp.sum
+    if eta_sum > 1:
+        return engine.FptResult(Fraction(1), FptCase.STANDARD_GT1, eta=eta, eta_sum=eta_sum)
+    profile = carry_profile(eta.s1, eta.s2, p)
+    if profile.carry_free:
+        return engine.FptResult(
+            eta_sum, FptCase.CARRY_FREE, eta=eta, eta_sum=eta_sum, carry_free=True
+        )
+    L, d = profile.L, profile.d
+    step = Fraction(1, p**d)
+    t1, t2 = truncate(eta.s1, p, d), truncate(eta.s2, p, d)
+    trunc_sum = truncate(eta_sum, p, L)
+    assert t1 + t2 + step == trunc_sum
+
+    def candidate(point, axis):
+        inside = contains_lower_interior(matrix, point)
+        delta = ray_max_delta(matrix, point, axis) if inside else None
+        return engine.Candidate(point, axis, inside, delta)
+
+    right = candidate(Point2(t1 + step, t2), Axis.AXIS2)
+    up = candidate(Point2(t1, t2 + step), Axis.AXIS1)
+    truncated = engine.FptResult(
+        trunc_sum, FptCase.TRUNCATED, eta=eta, eta_sum=eta_sum, carry_free=False,
+        L=L, d=d, truncation=Point2(t1, t2), candidates=(right, up),
+    )
+    deltas = [c.delta for c in (right, up) if c.inside]
+    if not deltas:
+        return truncated
+    epsilon = max(deltas)
+    assert 0 < epsilon <= tail(eta_sum, p, L)
+    return replace(
+        truncated, value=trunc_sum + epsilon,
+        case=FptCase.TRUNCATED_PLUS_EPSILON, epsilon=epsilon,
+    )
+
+
+def reference_at(plan, p):
+    """Plan.at with the reference carry step and the old min rule."""
+    mono = plan.monomial_fpt
+    if plan.core is None:
+        return engine.FptResult(mono, FptCase.MONOMIAL_ONLY, monomial_fpt=mono)
+    core = reference_carry_step(*plan.core, p)
+    if mono is None:
+        return replace(core, core_fpt=core.value)
+    return replace(
+        core, value=min(mono, core.value), case=FptCase.MIN_COMBINED,
+        monomial_fpt=mono, core_fpt=core.value,
+    )
+
+
+def prime_power_base(n):
+    """The prime p when n is a power of p, else None."""
+    for f in range(2, n + 1):
+        if n % f == 0:
+            while n % f == 0:
+                n //= f
+            return f if n == 1 else None
+    return None
+
+
+class TestIntegerCarryStep:
+    def test_matches_the_fraction_reference(self):
+        """Whole results, candidates and deltas included, agree with
+        the Fraction carry step on seeded binomials x primes."""
+        rng = Random(306)
+        small = primes_between(2, 200)
+        near_million = primes_between(10**6 - 200, 10**6 + 200)
+        names = tuple(f"x{i}" for i in range(6))
+        draws = [COMP]
+        while len(draws) < 300:
+            # half the draws: a 3-4 row core times a monomial factor
+            core_rows = rng.randint(3, 4) if len(draws) % 2 else rng.randint(1, 4)
+            top = rng.choice((4, 8, 16, 32))
+            rows = [(rng.randint(0, top), rng.randint(0, top)) for _ in range(core_rows)]
+            if len(draws) % 2:
+                rows += [(e, e) for e in rng.sample(range(1, 9), rng.randint(1, 2))]
+            a, b = tuple(x for x, _ in rows), tuple(y for _, y in rows)
+            if a == b or not any(a) or not any(b) or (0, 0) in rows:
+                continue
+            draws.append(Binomial(names[: len(rows)], a, b))
+        cases = set()
+        capped = 0
+        for i, g in enumerate(draws):
+            try:
+                plan = prepare(g)
+            except (ValueError, RuntimeError):
+                continue
+            primes = {2, 3, small[i % len(small)], near_million[i % len(near_million)]}
+            if plan.core is not None:
+                # a p-power denominator puts eta on the p-adic lattice
+                eta = plan.core[1].point
+                base = prime_power_base(lcm(eta.s1.denominator, eta.s2.denominator))
+                if base is not None:
+                    primes.add(base)
+            for p in sorted(primes):
+                result = plan.at(p)
+                assert result == reference_at(plan, p), (g, p)
+                cases.add(result.case)
+                capped += result.epsilon is not None and result.epsilon == tail(
+                    result.eta_sum, p, result.L
+                )
+        assert cases == set(FptCase)
+        assert capped > 0

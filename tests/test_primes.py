@@ -30,6 +30,24 @@ def test_strong_pseudoprimes_rejected(n):
     assert not is_prime(n)
 
 
+def test_base_table_agrees_with_the_sieve_below_two_million():
+    n = 2 * 10**6
+    flags = bytearray(n)
+    for q in primes_between(1, n - 1):
+        flags[q] = 1
+    assert [m for m in range(n) if is_prime(m) != flags[m]] == []
+
+
+# The least strong pseudoprime to each prefix of the bases: the first
+# number a table row no longer vouches for.
+@pytest.mark.parametrize("n", [
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+])
+def test_threshold_pseudoprimes_rejected(n):
+    assert not is_prime(n)
+
+
 @pytest.mark.parametrize("n", [2**61 - 1, 10**24 + 7])
 def test_large_primes_accepted_quickly(n):
     start = time.perf_counter()
@@ -59,3 +77,17 @@ def test_primes_between_memory_follows_the_window():
         tracemalloc.stop()
     assert found == [n for n in range(lo, hi + 1) if is_prime(n)]
     assert peak < 2**20
+
+
+def test_primes_between_tests_windows_past_the_sieve_base():
+    lo, hi = 10**16, 10**16 + 100
+    start = time.perf_counter()
+    found = primes_between(lo, hi)
+    assert time.perf_counter() - start < 0.5
+    assert found == [n for n in range(lo, hi + 1) if is_prime(n)]
+    assert len(found) == 4
+
+
+def test_primes_between_rejects_windows_beyond_the_exact_range():
+    with pytest.raises(ValueError, match="too large for the primality test"):
+        primes_between(3_317_044_064_679_887_385_961_981, 3_317_044_064_679_887_385_961_999)
