@@ -30,19 +30,15 @@ def _check_base(p: int) -> None:
 def scaled_truncation(alpha: Fraction, p: int, e: int) -> int:
     """p**e * <alpha>_e as an integer, for alpha in [0, 1].
 
-    Closed form: ceil(p^e alpha) - 1 when p^e alpha is an integer,
-    floor(p^e alpha) otherwise; 0 for alpha = 0 regardless of e.
+    Closed form: ceil(p^e alpha) - 1, which for alpha = n/D is
+    (n p^e - 1) // D on integers; 0 for alpha = 0 regardless of e.
     """
     _check_unit_interval(alpha)
     _check_base(p)
     if e < 0:
         raise ValueError("negative truncation level")
-    if alpha == 0:
-        return 0
-    scaled = alpha * p**e
-    if scaled.denominator == 1:
-        return scaled.numerator - 1
-    return scaled.numerator // scaled.denominator
+    n = alpha.numerator
+    return (n * p**e - 1) // alpha.denominator if n else 0
 
 
 def truncate(alpha: Fraction, p: int, e: int) -> Fraction:

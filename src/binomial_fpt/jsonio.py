@@ -7,10 +7,11 @@ the package so consumers (and the test suite) can validate outputs.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from fractions import Fraction
 
 from .base_p import positional_digits
-from .engine import Binomial, FptResult
+from .engine import Binomial, FptCase, FptResult
 from .oracle import VerificationReport
 from .parsing import binomial_to_text
 from .polytope import MaximalPoint, Point2, SplittingMatrix
@@ -54,7 +55,7 @@ def result_to_json(
         ],
     }
     if verification is not None:
-        data["verification"] = verification.to_json()
+        data["verification"] = asdict(verification)
     return data
 
 
@@ -116,160 +117,81 @@ def polytope_to_json(
     }
 
 
-_RATIONAL = {
-    "type": "object",
-    "properties": {"num": {"type": "integer"}, "den": {"type": "integer", "minimum": 1}},
-    "required": ["num", "den"],
-    "additionalProperties": False,
-}
+def _closed(**properties: dict) -> dict:
+    """An object schema that requires every listed property and no other."""
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": list(properties),
+        "additionalProperties": False,
+    }
+
+
+_RATIONAL = _closed(num={"type": "integer"}, den={"type": "integer", "minimum": 1})
 
 _DIGITS = {"type": "array", "items": {"type": "integer", "minimum": 0}}
 
-VERIFICATION_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "predicted_nu": {"type": "integer", "minimum": 0},
-        "semigroup_nu": {"type": "integer", "minimum": 0},
-        "naive_nu": {"type": ["integer", "null"], "minimum": 0},
-        "match": {"type": "boolean"},
-    },
-    "required": ["predicted_nu", "semigroup_nu", "naive_nu", "match"],
-    "additionalProperties": False,
-}
+_NULLABLE_RATIONAL = {"oneOf": [_RATIONAL, {"type": "null"}]}
 
-COMPUTE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "input": {"type": "string"},
-        "prime": {"type": "integer", "minimum": 2},
-        "case": {
-            "enum": [
-                "MONOMIAL_ONLY",
-                "STANDARD_GT1",
-                "CARRY_FREE",
-                "TRUNCATED",
-                "TRUNCATED_PLUS_EPSILON",
-                "MIN_COMBINED",
-            ]
-        },
-        "value": _RATIONAL,
-        "value_base_p": {
-            "type": "object",
-            "properties": {"preperiod": _DIGITS, "period": _DIGITS},
-            "required": ["preperiod", "period"],
-            "additionalProperties": False,
-        },
-        "eta": {
-            "type": ["array", "null"],
-            "items": _RATIONAL,
-            "minItems": 2,
-            "maxItems": 2,
-        },
-        "eta_sum": {"oneOf": [_RATIONAL, {"type": "null"}]},
-        "L": {"oneOf": [{"type": "integer", "minimum": 0}, {"enum": ["inf", None]}]},
-        "d": {"type": ["integer", "null"], "minimum": 1},
-        "epsilon": {"oneOf": [_RATIONAL, {"type": "null"}]},
-        "monomial_part": {"oneOf": [_RATIONAL, {"type": "null"}]},
-        "notes": {"type": "array", "items": {"type": "string"}},
-        "verification": VERIFICATION_SCHEMA,
-    },
-    "required": [
-        "input",
-        "prime",
-        "case",
-        "value",
-        "value_base_p",
-        "eta",
-        "eta_sum",
-        "L",
-        "d",
-        "epsilon",
-        "monomial_part",
-        "notes",
-    ],
-    "additionalProperties": False,
-}
+_PAIR = {"minItems": 2, "maxItems": 2}
 
-SCAN_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "input": {"type": "string"},
-        "prime_range": {
-            "type": "array",
-            "items": {"type": "integer"},
-            "minItems": 2,
-            "maxItems": 2,
-        },
-        "filter": {
-            "type": ["object", "null"],
-            "properties": {"mod": {"type": "integer"}, "residue": {"type": "integer"}},
-            "required": ["mod", "residue"],
-            "additionalProperties": False,
-        },
-        "limit": _RATIONAL,
-        "rows": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "p": {"type": "integer", "minimum": 2},
-                    "value": _RATIONAL,
-                    "case": {"type": "string"},
-                },
-                "required": ["p", "value", "case"],
-                "additionalProperties": False,
-            },
-        },
-        "limit_match_count": {"type": "integer", "minimum": 0},
-    },
-    "required": ["input", "prime_range", "filter", "limit", "rows", "limit_match_count"],
-    "additionalProperties": False,
-}
+VERIFICATION_SCHEMA = _closed(
+    predicted_nu={"type": "integer", "minimum": 0},
+    semigroup_nu={"type": "integer", "minimum": 0},
+    naive_nu={"type": ["integer", "null"], "minimum": 0},
+    match={"type": "boolean"},
+)
 
-ORACLE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "input": {"type": "string"},
-        "prime": {"type": "integer", "minimum": 2},
-        "level": {"type": "integer", "minimum": 1},
-        "semigroup_nu": {"type": ["integer", "null"], "minimum": 0},
-        "naive_nu": {"type": ["integer", "null"], "minimum": 0},
-        "match": {"type": ["boolean", "null"]},
-    },
-    "required": ["input", "prime", "level", "semigroup_nu", "naive_nu", "match"],
-    "additionalProperties": False,
-}
+COMPUTE_SCHEMA = _closed(
+    input={"type": "string"},
+    prime={"type": "integer", "minimum": 2},
+    case={"enum": [c.value for c in FptCase]},
+    value=_RATIONAL,
+    value_base_p=_closed(preperiod=_DIGITS, period=_DIGITS),
+    eta={"type": ["array", "null"], "items": _RATIONAL, **_PAIR},
+    eta_sum=_NULLABLE_RATIONAL,
+    L={"oneOf": [{"type": "integer", "minimum": 0}, {"enum": ["inf", None]}]},
+    d={"type": ["integer", "null"], "minimum": 1},
+    epsilon=_NULLABLE_RATIONAL,
+    monomial_part=_NULLABLE_RATIONAL,
+    notes={"type": "array", "items": {"type": "string"}},
+)
+# Added after "required" is derived: only compute --verify emits it.
+COMPUTE_SCHEMA["properties"]["verification"] = VERIFICATION_SCHEMA
 
-POLYTOPE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "rows": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "items": {"type": "integer", "minimum": 0},
-                "minItems": 2,
-                "maxItems": 2,
-            },
-            "minItems": 1,
-        },
-        "vertices": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "items": {"type": "string"},
-                "minItems": 2,
-                "maxItems": 2,
-            },
-        },
-        "maximal_point": {
-            "type": ["array", "null"],
-            "items": {"type": "string"},
-            "minItems": 2,
-            "maxItems": 2,
-        },
-        "eta_sum": {"type": ["string", "null"]},
+SCAN_SCHEMA = _closed(
+    input={"type": "string"},
+    prime_range={"type": "array", "items": {"type": "integer"}, **_PAIR},
+    filter={
+        **_closed(mod={"type": "integer"}, residue={"type": "integer"}),
+        "type": ["object", "null"],
     },
-    "required": ["rows", "vertices", "maximal_point", "eta_sum"],
-    "additionalProperties": False,
-}
+    limit=_RATIONAL,
+    rows={
+        "type": "array",
+        "items": _closed(
+            p={"type": "integer", "minimum": 2}, value=_RATIONAL, case={"type": "string"}
+        ),
+    },
+    limit_match_count={"type": "integer", "minimum": 0},
+)
+
+ORACLE_SCHEMA = _closed(
+    input={"type": "string"},
+    prime={"type": "integer", "minimum": 2},
+    level={"type": "integer", "minimum": 1},
+    semigroup_nu={"type": ["integer", "null"], "minimum": 0},
+    naive_nu={"type": ["integer", "null"], "minimum": 0},
+    match={"type": ["boolean", "null"]},
+)
+
+POLYTOPE_SCHEMA = _closed(
+    rows={
+        "type": "array",
+        "items": {"type": "array", "items": {"type": "integer", "minimum": 0}, **_PAIR},
+        "minItems": 1,
+    },
+    vertices={"type": "array", "items": {"type": "array", "items": {"type": "string"}, **_PAIR}},
+    maximal_point={"type": ["array", "null"], "items": {"type": "string"}, **_PAIR},
+    eta_sum={"type": ["string", "null"]},
+)

@@ -12,8 +12,8 @@ recompute it independently:
     polynomial arithmetic over F_p, discarding monomials with any
     exponent >= p^e.
 
-Both are exponential-in-e desk tools, so they enforce explicit
-budgets rather than hard-coded limits.
+Both are exponential-in-e desk tools, so each refuses p^e past its
+budget, SEMIGROUP_BUDGET or NAIVE_BUDGET, read at call time.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ NAIVE_BUDGET = 256
 
 
 class BudgetExceeded(Exception):
-    """p^e is past the configured budget for an oracle."""
+    """p^e is past an oracle's budget."""
 
 
 def _check_budget(p: int, e: int, budget: int, name: str) -> None:
@@ -64,19 +64,11 @@ class VerificationReport:
     naive_nu: int | None
     match: bool
 
-    def to_json(self) -> dict:
-        return {
-            "predicted_nu": self.predicted_nu,
-            "semigroup_nu": self.semigroup_nu,
-            "naive_nu": self.naive_nu,
-            "match": self.match,
-        }
 
-
-def nu_semigroup(query: NuQuery, *, budget: int = SEMIGROUP_BUDGET) -> int:
+def nu_semigroup(query: NuQuery) -> int:
     """max{k1 + k2 : E(k1,k2) <= p^e - 1 rowwise, carry-free addition}."""
     p, e = query.prime, query.level
-    _check_budget(p, e, budget, "semigroup budget")
+    _check_budget(p, e, SEMIGROUP_BUDGET, "semigroup budget")
     q = p**e
     g = query.binomial
     rows = list(zip(g.a, g.b))
@@ -101,7 +93,7 @@ def nu_semigroup(query: NuQuery, *, budget: int = SEMIGROUP_BUDGET) -> int:
     return best
 
 
-def nu_naive(query: NuQuery, *, budget: int = NAIVE_BUDGET) -> int:
+def nu_naive(query: NuQuery) -> int:
     """Largest l with f^l nonzero after discarding exponents >= p^e.
 
     Powers are built incrementally in the quotient ring, as dictionaries
@@ -110,7 +102,7 @@ def nu_naive(query: NuQuery, *, budget: int = NAIVE_BUDGET) -> int:
     first zero.  Uses the supplied coefficients (defaults 1, 1).
     """
     p, e = query.prime, query.level
-    _check_budget(p, e, budget, "naive budget")
+    _check_budget(p, e, NAIVE_BUDGET, "naive budget")
     q = p**e
     g = query.binomial
     c1 = 1 if g.coeff1 is None else g.coeff1 % p
@@ -138,7 +130,7 @@ def nu_naive(query: NuQuery, *, budget: int = NAIVE_BUDGET) -> int:
     raise RuntimeError("power iteration failed to terminate")
 
 
-def nu_monomial(exponents: tuple[int, ...], prime: int, level: int, *, budget: int = SEMIGROUP_BUDGET) -> int:
+def nu_monomial(exponents: tuple[int, ...], prime: int, level: int) -> int:
     """Largest l with (x^a)^l outside the Frobenius power, by powering.
 
     The degenerate one-term case: no binomial coefficients arise, so
@@ -151,7 +143,7 @@ def nu_monomial(exponents: tuple[int, ...], prime: int, level: int, *, budget: i
         raise ValueError("level must be at least 1")
     if not any(exponents) or any(x < 0 for x in exponents):
         raise ValueError("monomial must be nonconstant with nonnegative exponents")
-    _check_budget(prime, level, budget, "budget")
+    _check_budget(prime, level, SEMIGROUP_BUDGET, "budget")
     q = prime**level
     power = tuple(0 for _ in exponents)
     count = 0
@@ -162,23 +154,17 @@ def nu_monomial(exponents: tuple[int, ...], prime: int, level: int, *, budget: i
         count += 1
 
 
-def verify(
-    query: NuQuery,
-    predicted: FptResult,
-    *,
-    semigroup_budget: int = SEMIGROUP_BUDGET,
-    naive_budget: int = NAIVE_BUDGET,
-) -> VerificationReport:
+def verify(query: NuQuery, predicted: FptResult) -> VerificationReport:
     """Compare the engine's predicted nu(e) against both oracles.
 
     The naive oracle is skipped (reported as None) when p^e is past its
     budget; the semigroup oracle always runs, and first, so its budget
     still applies before the prediction builds p^e.
     """
-    semigroup = nu_semigroup(query, budget=semigroup_budget)
+    semigroup = nu_semigroup(query)
     predicted_nu = scaled_truncation(predicted.value, query.prime, query.level)
     try:
-        naive: int | None = nu_naive(query, budget=naive_budget)
+        naive: int | None = nu_naive(query)
     except BudgetExceeded:
         naive = None
     match = predicted_nu == semigroup and (naive is None or naive == predicted_nu)

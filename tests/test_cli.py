@@ -1,12 +1,13 @@
 """Command line behaviour, exit codes, JSON schemas, SVG determinism."""
 
+import hashlib
 import json
 import time
 
 import jsonschema
 import pytest
 
-from binomial_fpt import jsonio
+from binomial_fpt import FptCase, jsonio
 from binomial_fpt.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_MISMATCH, EXIT_OK, main
 from binomial_fpt.oracle import VerificationReport
 
@@ -17,6 +18,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestSchemas:
+    # sha256 of json.dumps(schema, sort_keys=True), so any change to a
+    # published schema shows up here
+    PINNED = {
+        "VERIFICATION_SCHEMA": "e39dc94f430e0bfb4a6a73932e1a5c648a5be82ce504b1c1c5dc5811f03657df",
+        "COMPUTE_SCHEMA": "131e85c9d8e3b8d62c3dfaf46f4d14df2698079c05c839e12376094568782f14",
+        "SCAN_SCHEMA": "ee61d1361104627f83ed0182b506c21541019ef4c464174bdbae170204e98b0e",
+        "ORACLE_SCHEMA": "92c88fc468497b8374748a053b5f9891bf2158ca1f156938efdfbd8e52664350",
+        "POLYTOPE_SCHEMA": "bf16a627276ab7c009828467f730833ca9c99be263186afe23d22282c41a94b1",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_published_schema_is_pinned(self, name):
+        text = json.dumps(getattr(jsonio, name), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED[name]
+
+    def test_compute_case_enum_is_every_case(self):
+        assert jsonio.COMPUTE_SCHEMA["properties"]["case"]["enum"] == [c.value for c in FptCase]
 
 
 class TestCompute:

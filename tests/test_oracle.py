@@ -9,9 +9,12 @@ from binomial_fpt import (
     BudgetExceeded,
     NuQuery,
     fpt,
+    fpt_limit,
+    jsonio,
     nu_monomial,
     nu_naive,
     nu_semigroup,
+    oracle,
     verify,
 )
 
@@ -36,10 +39,11 @@ class TestNuSemigroup:
         g = Binomial(("x", "y"), (2, 0), (0, 2))
         assert nu_semigroup(NuQuery(g, 3, 1)) == 2
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         with pytest.raises(BudgetExceeded, match="16384"):
-            nu_semigroup(NuQuery(COMP, 131, 3))
-        assert nu_semigroup(NuQuery(COMP, 131, 2), budget=131**2) >= 0
+            nu_semigroup(NuQuery(COMP, 131, 2))
+        monkeypatch.setattr(oracle, "SEMIGROUP_BUDGET", 131**2)
+        assert nu_semigroup(NuQuery(COMP, 131, 2)) >= 0
 
     def test_budget_message_names_the_power(self):
         # 11^1000000 has over a million digits, so the message must not print it
@@ -110,8 +114,10 @@ class TestVerify:
         assert report.match
 
     def test_json_shape(self):
-        report = verify(NuQuery(COMP, 47, 1), fpt(COMP, 47))
-        assert report.to_json() == {
+        result = fpt(COMP, 47)
+        report = verify(NuQuery(COMP, 47, 1), result)
+        data = jsonio.result_to_json(COMP, 47, result, fpt_limit(COMP), report)
+        assert data["verification"] == {
             "predicted_nu": 8,
             "semigroup_nu": 8,
             "naive_nu": 8,

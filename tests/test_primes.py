@@ -88,6 +88,16 @@ def test_primes_between_tests_windows_past_the_sieve_base():
     assert len(found) == 4
 
 
+@pytest.mark.parametrize("lo", [10**12, 2**39])
+def test_primes_between_tests_narrow_windows_below_the_sieve_cutover(lo):
+    # sqrt(hi) is under 2^20 but far wider than the window
+    hi = lo + 100
+    start = time.perf_counter()
+    found = primes_between(lo, hi)
+    assert time.perf_counter() - start < 0.05
+    assert found == [n for n in range(lo, hi + 1) if is_prime(n)]
+
+
 def test_primes_between_rejects_windows_beyond_the_exact_range():
     with pytest.raises(ValueError, match="too large for the primality test"):
         primes_between(3_317_044_064_679_887_385_961_981, 3_317_044_064_679_887_385_961_999)
