@@ -133,8 +133,6 @@ _DIGITS = {"type": "array", "items": {"type": "integer", "minimum": 0}}
 
 _NULLABLE_RATIONAL = {"oneOf": [_RATIONAL, {"type": "null"}]}
 
-_PAIR = {"minItems": 2, "maxItems": 2}
-
 VERIFICATION_SCHEMA = _closed(
     predicted_nu={"type": "integer", "minimum": 0},
     semigroup_nu={"type": "integer", "minimum": 0},
@@ -148,7 +146,12 @@ COMPUTE_SCHEMA = _closed(
     case={"enum": [c.value for c in FptCase]},
     value=_RATIONAL,
     value_base_p=_closed(preperiod=_DIGITS, period=_DIGITS),
-    eta={"type": ["array", "null"], "items": _RATIONAL, **_PAIR},
+    eta={
+        "type": ["array", "null"],
+        "items": _RATIONAL,
+        "minItems": 2,
+        "maxItems": 2,
+    },
     eta_sum=_NULLABLE_RATIONAL,
     L={"oneOf": [{"type": "integer", "minimum": 0}, {"enum": ["inf", None]}]},
     d={"type": ["integer", "null"], "minimum": 1},
@@ -161,7 +164,12 @@ COMPUTE_SCHEMA["properties"]["verification"] = VERIFICATION_SCHEMA
 
 SCAN_SCHEMA = _closed(
     input={"type": "string"},
-    prime_range={"type": "array", "items": {"type": "integer"}, **_PAIR},
+    prime_range={
+        "type": "array",
+        "items": {"type": "integer"},
+        "minItems": 2,
+        "maxItems": 2,
+    },
     filter={
         **_closed(mod={"type": "integer"}, residue={"type": "integer"}),
         "type": ["object", "null"],
@@ -188,10 +196,28 @@ ORACLE_SCHEMA = _closed(
 POLYTOPE_SCHEMA = _closed(
     rows={
         "type": "array",
-        "items": {"type": "array", "items": {"type": "integer", "minimum": 0}, **_PAIR},
+        "items": {
+            "type": "array",
+            "items": {"type": "integer", "minimum": 0},
+            "minItems": 2,
+            "maxItems": 2,
+        },
         "minItems": 1,
     },
-    vertices={"type": "array", "items": {"type": "array", "items": {"type": "string"}, **_PAIR}},
-    maximal_point={"type": ["array", "null"], "items": {"type": "string"}, **_PAIR},
+    vertices={
+        "type": "array",
+        "items": {
+            "type": "array",
+            "items": {"type": "string"},
+            "minItems": 2,
+            "maxItems": 2,
+        },
+    },
+    maximal_point={
+        "type": ["array", "null"],
+        "items": {"type": "string"},
+        "minItems": 2,
+        "maxItems": 2,
+    },
     eta_sum={"type": ["string", "null"]},
 )

@@ -52,8 +52,8 @@ def primes_between(lo: int, hi: int) -> list[int]:
 
     A segmented sieve: the primes up to sqrt(hi) strike their multiples
     inside the window only, so memory is O(sqrt(hi) + hi - lo).  When
-    sqrt(hi) exceeds 2^20, or four times the window's width, that base
-    would dwarf the window, so each number is tested with is_prime
+    sqrt(hi) exceeds 2^20, or sixteen times the window's width, that
+    base would dwarf the window, so each number is tested with is_prime
     instead; ValueError beyond its range.
     """
     lo = max(lo, 2)
@@ -62,7 +62,7 @@ def primes_between(lo: int, hi: int) -> list[int]:
     if hi >= _EXACT_BELOW:
         raise ValueError(f"{hi} is too large for the primality test")
     root = isqrt(hi)
-    if root > 2**20 or root > 4 * (hi - lo + 1):
+    if root > 2**20 or root > 16 * (hi - lo + 1):
         return [n for n in range(lo, hi + 1) if is_prime(n)]
     base = bytearray([1]) * (root + 1)
     window = bytearray([1]) * (hi - lo + 1)

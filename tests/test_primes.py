@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from binomial_fpt import primes
 from binomial_fpt.primes import is_prime, primes_between
 
 
@@ -75,6 +76,25 @@ def test_primes_between_memory_follows_the_window():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert found == [n for n in range(lo, hi + 1) if is_prime(n)]
+    assert peak < 2**20
+
+
+def test_primes_between_sieve_memory_follows_the_window_at_large_lo(monkeypatch):
+    # wide enough to sieve: is_prime must not be called
+    lo, hi = 10**10, 10**10 + 30000
+
+    def unexpected(n):
+        raise AssertionError("the window was tested number by number")
+
+    monkeypatch.setattr(primes, "is_prime", unexpected)
+    tracemalloc.start()
+    try:
+        found = primes_between(lo, hi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
     assert found == [n for n in range(lo, hi + 1) if is_prime(n)]
     assert peak < 2**20
 
