@@ -5,9 +5,9 @@ by the p^e-th powers of the variables.  The engine predicts it as
 p^e times the e-th truncation of the threshold; the two oracles below
 recompute it independently:
 
-  * nu_semigroup enumerates lattice pairs (k1, k2) subject to the row
-    constraints a_i k1 + b_i k2 <= p^e - 1 and keeps those whose
-    base-p addition is carry free, maximizing k1 + k2;
+  * nu_semigroup maximizes k1 + k2 over carry-free (in base p) lattice
+    pairs with a_i k1 + b_i k2 <= p^e - 1 on every row, taking for each
+    k1 the largest such k2 by one digit walk;
   * nu_naive raises f to successive powers with genuine sparse
     polynomial arithmetic over F_p, discarding monomials with any
     exponent >= p^e.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base_p import adds_without_carrying, scaled_truncation
+from .base_p import scaled_truncation
 from .engine import Binomial, FptResult
 from .primes import is_prime
 
@@ -65,8 +65,32 @@ class VerificationReport:
     match: bool
 
 
+def _largest_carry_free(bound: int, k1: int, p: int) -> int:
+    """Largest k2 <= bound whose base-p digits add to k1's without carrying.
+
+    Walk bound's digits from the top, copying each that fits in the room
+    p - 1 - (k1's digit).  At the first misfit, with top = p^(its place + 1),
+    put the room there and below: k1's complement top - 1 - k1 % top.  That
+    is exact, as 0 always fits and a copied digit beats any lower one.  At
+    p = 2 the misfit is the top bit of bound & k1.
+    """
+    if p == 2:
+        top = 1 << (bound & k1).bit_length()
+    else:
+        place = 1
+        while place * p <= bound:
+            place *= p
+        while place and bound // place % p + k1 // place % p < p:
+            place //= p
+        top = place * p or 1
+    return bound - bound % top + top - 1 - k1 % top
+
+
 def nu_semigroup(query: NuQuery) -> int:
-    """max{k1 + k2 : E(k1,k2) <= p^e - 1 rowwise, carry-free addition}."""
+    """max{k1 + k2 : E(k1,k2) <= p^e - 1 rowwise, carry-free addition}.
+
+    Each k1 takes the largest carry-free k2 under its row bound by a digit walk.
+    """
     p, e = query.prime, query.level
     _check_budget(p, e, SEMIGROUP_BUDGET, "semigroup budget")
     q = p**e
@@ -76,20 +100,11 @@ def nu_semigroup(query: NuQuery) -> int:
     k1_max = min(cap // a for a, _ in rows if a > 0)
     b_rows = [(a, b) for a, b in rows if b > 0]
     best = 0
-    if p == 2:
-        def carry_free(x: int, y: int) -> bool:
-            return x & y == 0
-    else:
-        def carry_free(x: int, y: int) -> bool:
-            return adds_without_carrying(x, y, p)
     for k1 in range(k1_max + 1):
         k2_max = min((cap - a * k1) // b for a, b in b_rows)
         if k1 + k2_max <= best:
             continue
-        for k2 in range(k2_max, max(best - k1, -1), -1):
-            if carry_free(k1, k2):
-                best = k1 + k2
-                break
+        best = max(best, k1 + _largest_carry_free(k2_max, k1, p))
     return best
 
 

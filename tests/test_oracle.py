@@ -1,5 +1,7 @@
 """Brute-force Frobenius-power oracles."""
 
+import time
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -8,6 +10,7 @@ from binomial_fpt import (
     Binomial,
     BudgetExceeded,
     NuQuery,
+    adds_without_carrying,
     fpt,
     fpt_limit,
     jsonio,
@@ -15,12 +18,53 @@ from binomial_fpt import (
     nu_naive,
     nu_semigroup,
     oracle,
+    scaled_truncation,
     verify,
 )
 
-from conftest import random_binomial
+from conftest import VARIABLE_NAMES, random_binomial
 
 COMP = Binomial(("x", "y"), (7, 2), (5, 6))
+
+
+def countdown_carry_free(bound: int, k1: int, p: int) -> int:
+    """Reference: the largest k2 <= bound adding to k1 without carrying,
+    found by testing bound, bound - 1, ... in turn."""
+    return next(k2 for k2 in range(bound, -1, -1) if adds_without_carrying(k1, k2, p))
+
+
+def countdown_nu_semigroup(query: NuQuery) -> int:
+    """Reference: the semigroup oracle that counts each k1's k2 down from
+    its row bound, testing every value for a carry-free addition."""
+    p, q, g = query.prime, query.prime**query.level, query.binomial
+    rows = list(zip(g.a, g.b))
+    k1_max = min((q - 1) // a for a, _ in rows if a > 0)
+    b_rows = [(a, b) for a, b in rows if b > 0]
+    best = 0
+    for k1 in range(k1_max + 1):
+        k2_max = min((q - 1 - a * k1) // b for a, b in b_rows)
+        for k2 in range(k2_max, max(best - k1, -1), -1):
+            if adds_without_carrying(k1, k2, p):
+                best = k1 + k2
+                break
+    return best
+
+
+def seeded_oracle_binomials(rng: Random) -> list[Binomial]:
+    """Three each of x^a + x^b, a 3- or 4-row core, and a 2-row core
+    times a monomial factor z^c (a row with a_i = b_i)."""
+
+    def core_rows(n: int) -> list[tuple[int, int]]:
+        while True:
+            rows = [tuple(rng.sample(range(8), 2)) for _ in range(n)]
+            if any(a for a, _ in rows) and any(b for _, b in rows):
+                return rows
+
+    shapes = []
+    for _ in range(3):
+        c = rng.randint(1, 5)
+        shapes += [core_rows(1), core_rows(rng.randint(3, 4)), core_rows(2) + [(c, c)]]
+    return [Binomial(VARIABLE_NAMES[: len(rows)], *zip(*rows)) for rows in shapes]
 
 
 class TestNuSemigroup:
@@ -50,6 +94,34 @@ class TestNuSemigroup:
         with pytest.raises(BudgetExceeded) as info:
             nu_semigroup(NuQuery(COMP, 11, 10**6))
         assert str(info.value) == "p^e = 11^1000000 exceeds the semigroup budget 16384"
+
+    @pytest.mark.parametrize("p, e", [(2, 6), (3, 4), (5, 3), (7, 2)])
+    def test_digit_walk_matches_countdown_exhaustively(self, p, e):
+        q = p**e
+        for k1 in range(q):
+            for bound in range(q):
+                assert oracle._largest_carry_free(bound, k1, p) == countdown_carry_free(bound, k1, p)
+
+    def test_matches_countdown_oracle(self):
+        rng = Random(1010)
+        levels = [(p, e) for p in (2, 3, 5, 7, 11, 13, 37) for e in range(1, 13) if p**e <= 2**12]
+        for p, e in levels:
+            for g in seeded_oracle_binomials(rng):
+                query = NuQuery(g, p, e)
+                assert nu_semigroup(query) == countdown_nu_semigroup(query), query
+
+    def test_one_variable_runs_in_wall_clock_budget(self):
+        # counting k2 down from each k1's row bound takes seconds here
+        query = NuQuery(Binomial(("x",), (1,), (4,)), 5, 6)
+        start = time.perf_counter()
+        nu_semigroup(query)
+        assert time.perf_counter() - start < 0.5
+
+    def test_comp_p2_to_level_20(self, monkeypatch):
+        # past criterion 6's e <= 14: nu(e) = 2^e <3/16>_e up to e = 20
+        monkeypatch.setattr(oracle, "SEMIGROUP_BUDGET", 2**20)
+        for e in range(15, 21):
+            assert nu_semigroup(NuQuery(COMP, 2, e)) == scaled_truncation(Fraction(3, 16), 2, e)
 
 
 class TestNuNaive:
