@@ -26,6 +26,9 @@ EXIT_BAD_INPUT = 1
 EXIT_MISMATCH = 2
 EXIT_BUDGET = 3
 
+# p^-1000 is far below the figure's 12 significant digits at any prime
+FIGURE_LEVEL_MAX = 1000
+
 
 class _CliError(Exception):
     pass
@@ -159,6 +162,8 @@ def _cmd_scan(args) -> int:
 def _cmd_polytope(args) -> int:
     if args.level is not None and args.prime is None:
         raise _CliError("--level needs --prime")
+    if args.level is not None and args.level > FIGURE_LEVEL_MAX:
+        raise _CliError(f"--level must be at most {FIGURE_LEVEL_MAX}")
     g = parse(args.poly)
     if args.prime is not None:
         _require_prime(args.prime)

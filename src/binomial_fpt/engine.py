@@ -10,7 +10,10 @@ point eta of its splitting polytope:
   * eta1 and eta2 add without carrying in base p: it is |eta|;
   * otherwise it is the L-th truncation of |eta|, plus a rational
     correction epsilon exactly when one of two lattice candidate
-    points lies in the lower interior of the polytope.
+    points lies in the lower interior of the polytope.  epsilon is
+    the longest axis ray from such a candidate that stays in the
+    polytope; the carry step is the one place that derives these two
+    ray reaches, and a result keeps only them.
     With carrying, the threshold still equals |eta| when epsilon
     reaches its cap tail(|eta|, p, L).
 
@@ -31,7 +34,7 @@ from fractions import Fraction
 from math import lcm
 
 from .base_p import carry_profile, tail, truncate
-from .polytope import Axis, MaximalPoint, Point2, SplittingMatrix, build, maximal_point
+from .polytope import MaximalPoint, Point2, SplittingMatrix, build, maximal_point
 from .primes import is_prime
 
 ONE = Fraction(1)
@@ -90,28 +93,16 @@ class FptCase(Enum):
 
 
 @dataclass(frozen=True)
-class Candidate:
-    """A lattice point one step p^-d right of or above the truncation.
-
-    axis is the direction of its ray; delta is how far that ray stays
-    in the polytope, clipped only when the point lies in the lower
-    interior (inside) and None otherwise.
-    """
-
-    point: Point2
-    axis: Axis
-    inside: bool
-    delta: Fraction | None
-
-
-@dataclass(frozen=True)
 class FptResult:
     """Threshold value plus the diagnostics that produced it.
 
     carry_free is None when no carry analysis ran (monomial-only
-    results and cores with |eta| > 1).  L, d, the truncation of eta at
-    level d and the candidates (right, then up) are only set for
-    finite carry analyses; epsilon only in the corrected case.
+    results and cores with |eta| > 1).  L, d and deltas are only set
+    for finite carry analyses; epsilon only in the corrected case.
+    deltas holds the ray reach of each lattice candidate one step p^-d
+    past the truncation of eta at level d: the right one along s2,
+    then the upper one along s1, None for a candidate outside the
+    lower interior.
     """
 
     value: Fraction
@@ -124,8 +115,7 @@ class FptResult:
     epsilon: Fraction | None = None
     monomial_fpt: Fraction | None = None
     core_fpt: Fraction | None = None
-    truncation: Point2 | None = None
-    candidates: tuple[Candidate, ...] = ()
+    deltas: tuple[Fraction | None, ...] = ()
 
 
 def factor(g: Binomial) -> Factorization:
@@ -206,8 +196,8 @@ def carry_step(matrix: SplittingMatrix, mp: MaximalPoint, p: int) -> FptResult:
     # direction never enters the open region, so clipping that ray
     # against the closed polytope would overstate the correction (the
     # brute-force nu ladder comes out one short of such a value).
-    candidates = []
-    for x, y, axis, coord in ((t1 + 1, t2, Axis.AXIS2, 1), (t1, t2 + 1, Axis.AXIS1, 0)):
+    deltas = []
+    for x, y, coord in ((t1 + 1, t2, 1), (t1, t2 + 1, 0)):
         slacks = [(q - a * x - b * y, (a, b)[coord]) for a, b in matrix.rows]
         delta = None
         if all(slack > 0 for slack, _ in slacks):
@@ -217,27 +207,23 @@ def carry_step(matrix: SplittingMatrix, mp: MaximalPoint, p: int) -> FptResult:
                 if c > 0 and (least is None or slack * least[1] < least[0] * c):
                     least = (slack, c)
             delta = Fraction(least[0], least[1] * q)
-        point = Point2(Fraction(x, q), Fraction(y, q))
-        candidates.append(Candidate(point, axis, delta is not None, delta))
-    right, up = candidates
+        deltas.append(delta)
+    right, up = deltas
     value, case, epsilon = Fraction(s, p**L), FptCase.TRUNCATED, None
-    deltas = [c.delta for c in candidates if c.inside]
-    if deltas:
-        epsilon = max(deltas)
+    if right is not None or up is not None:
+        epsilon = max(delta for delta in deltas if delta is not None)
         sum_tail = tail(eta_sum, p, L)
         if not 0 < epsilon <= sum_tail:
             raise RuntimeError("epsilon outside its proven bounds")
-        on_lattice = (right.inside and n1 * q % den == 0) or (
-            up.inside and n2 * q % den == 0
+        on_lattice = (right is not None and n1 * q % den == 0) or (
+            up is not None and n2 * q % den == 0
         )
         if (epsilon == sum_tail) != on_lattice:
             raise RuntimeError("epsilon equality criterion violated")
         value, case = value + epsilon, FptCase.TRUNCATED_PLUS_EPSILON
     return FptResult(
         value, case, eta=eta, eta_sum=eta_sum, carry_free=False, L=L, d=d,
-        epsilon=epsilon, core_fpt=value,
-        truncation=Point2(Fraction(t1, q), Fraction(t2, q)),
-        candidates=(right, up),
+        epsilon=epsilon, core_fpt=value, deltas=(right, up),
     )
 
 
@@ -269,7 +255,7 @@ class Plan:
             min(mono, core.value), FptCase.MIN_COMBINED, eta=core.eta,
             eta_sum=core.eta_sum, carry_free=core.carry_free, L=core.L, d=core.d,
             epsilon=core.epsilon, monomial_fpt=mono, core_fpt=core.value,
-            truncation=core.truncation, candidates=core.candidates,
+            deltas=core.deltas,
         )
 
 

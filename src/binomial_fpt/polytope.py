@@ -9,13 +9,14 @@ Everything here is exact: points are pairs of Fractions, vertices come
 from an upper-hull walk over the integer rows, and all comparisons are
 rational.
 The "lower interior" of P requires every row constraint to hold
-strictly; the coordinate inequalities s1, s2 >= 0 may be tight.
+strictly; the coordinate inequalities s1, s2 >= 0 may be tight.  The
+axis rays that give the threshold's correction are clipped in the
+engine's carry step, on integers, not here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -38,11 +39,6 @@ class MaximalPoint:
     sum: Fraction
 
 
-class Axis(Enum):
-    AXIS1 = "axis1"
-    AXIS2 = "axis2"
-
-
 def build(a: tuple[int, ...], b: tuple[int, ...]) -> SplittingMatrix:
     """Splitting matrix for exponent vectors a and b."""
     if len(a) != len(b) or not a:
@@ -55,13 +51,6 @@ def build(a: tuple[int, ...], b: tuple[int, ...]) -> SplittingMatrix:
     if any(row == (0, 0) for row in rows):
         raise ValueError("variable appears in neither monomial")
     return SplittingMatrix(rows)
-
-
-def contains(matrix: SplittingMatrix, s: Point2) -> bool:
-    """Membership in P (all constraints weak)."""
-    if s.s1 < 0 or s.s2 < 0:
-        return False
-    return all(a * s.s1 + b * s.s2 <= 1 for a, b in matrix.rows)
 
 
 def contains_lower_interior(matrix: SplittingMatrix, s: Point2) -> bool:
@@ -114,28 +103,6 @@ def maximal_point(matrix: SplittingMatrix) -> MaximalPoint | None:
     if len(argmax) != 1:
         return None
     return MaximalPoint(argmax[0], best)
-
-
-def ray_max_delta(
-    matrix: SplittingMatrix, base: Point2, direction: Axis
-) -> Fraction | None:
-    """Largest delta >= 0 with base + delta*axis still in P.
-
-    Returns None (infeasible) when the base point itself lies outside
-    P; constraint rows only grow along an axis direction, so no
-    positive delta can recover feasibility.
-    """
-    if not contains(matrix, base):
-        return None
-    coord = 0 if direction is Axis.AXIS1 else 1
-    bounds = []
-    for row in matrix.rows:
-        if row[coord] > 0:
-            slack = 1 - row[0] * base.s1 - row[1] * base.s2
-            bounds.append(Fraction(slack, row[coord]))
-    if not bounds:
-        raise ValueError("ray is unbounded inside the polytope")
-    return min(bounds)
 
 
 def segment_meets_lower_interior(

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .base_p import truncate
 from .engine import Binomial, FptCase, FptResult, carry_step
 from .parsing import binomial_to_text
-from .polytope import Axis, Point2, SplittingMatrix, build, maximal_point, vertices
+from .polytope import Point2, SplittingMatrix, build, maximal_point, vertices
 
 _FILL = "#d7e7f5"
 _EDGE = "#1f4e79"
@@ -90,6 +90,10 @@ class _Panel:
         )
 
 
+def _truncated(eta: Point2, p: int, e: int) -> Point2:
+    return Point2(truncate(eta.s1, p, e), truncate(eta.s2, p, e))
+
+
 def _boundary_ring(verts: tuple[Point2, ...]) -> list[Point2]:
     origin = Point2(Fraction(0), Fraction(0))
     others = sorted(
@@ -110,7 +114,10 @@ def polytope_figure(
     main = _Panel(0, 0, m, m, 70, 50, 470)
 
     result = None if prime is None or mp is None else carry_step(matrix, mp, prime)
-    trunc_pt = None if result is None else result.truncation
+    trunc_pt = step = None
+    if result is not None and result.deltas:
+        trunc_pt = _truncated(mp.point, prime, result.d)
+        step = Fraction(1, prime**result.d)
 
     width = 620 if trunc_pt is None else 1020
     out: list[str] = []
@@ -123,18 +130,15 @@ def polytope_figure(
         '<text x="70" y="30" font-size="14" font-family="monospace">'
         f"splitting polytope of {_escape(binomial_to_text(g))}</text>"
     )
-    _draw_panel(out, main, matrix, verts, mp, result, labels=True)
+    _draw_panel(out, main, matrix, verts, mp, result, trunc_pt, step, labels=True)
     if mp is not None and level is not None and prime is not None:
-        lv = Point2(
-            truncate(mp.point.s1, prime, level), truncate(mp.point.s2, prime, level)
-        )
+        lv = _truncated(mp.point, prime, level)
         out.append(main.dot(lv, _GRID, r="3"))
         out.append(main.text(lv, f"trunc level {level}", dx=6, dy=12))
 
     out.extend(_legend(matrix, mp, prime, result))
 
     if trunc_pt is not None:
-        step = Fraction(1, prime**result.d)
         pad = step / 2
         inset = _Panel(
             trunc_pt.s1 - pad,
@@ -153,7 +157,7 @@ def polytope_figure(
             '<text x="640" y="110" font-size="12" font-family="monospace">'
             "zoom near the truncated maximal point</text>"
         )
-        _draw_panel(out, inset, matrix, verts, mp, result, labels=False)
+        _draw_panel(out, inset, matrix, verts, mp, result, trunc_pt, step, labels=False)
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
@@ -169,6 +173,8 @@ def _draw_panel(
     verts: tuple[Point2, ...],
     mp,
     result: FptResult | None,
+    trunc_pt: Point2 | None,
+    step: Fraction | None,
     labels: bool,
 ) -> None:
     if labels:
@@ -218,34 +224,33 @@ def _draw_panel(
         out.append(panel.dot(mp.point, _ETA, r="4"))
         if labels:
             out.append(panel.text(mp.point, f"eta = ({mp.point.s1}, {mp.point.s2})"))
-    if result is None or result.truncation is None:
+    if trunc_pt is None:
         return
-    trunc_pt = result.truncation
     if panel.inside(trunc_pt):
         out.append(panel.dot(trunc_pt, _GRID, r="3"))
         if not labels:
             out.append(panel.text(trunc_pt, "trunc(eta)", size="10"))
-    for cand in result.candidates:
-        if panel.inside(cand.point):
-            out.append(panel.dot(cand.point, _CAND, r="3"))
+    right = Point2(trunc_pt.s1 + step, trunc_pt.s2)
+    up = Point2(trunc_pt.s1, trunc_pt.s2 + step)
+    candidates = ((right, "right candidate"), (up, "upper candidate"))
+    for base, _ in candidates:
+        if panel.inside(base):
+            out.append(panel.dot(base, _CAND, r="3"))
     if not labels:
-        for cand in result.candidates:
-            if panel.inside(cand.point):
-                tag = "right candidate" if cand.axis is Axis.AXIS2 else "upper candidate"
-                out.append(panel.text(cand.point, tag, size="10"))
+        for base, tag in candidates:
+            if panel.inside(base):
+                out.append(panel.text(base, tag, size="10"))
     eps = result.epsilon
-    # The ray drawn is the first inside candidate whose ray attains epsilon.
-    ray = next((c for c in result.candidates if c.inside and c.delta == eps), None)
-    if ray is not None:
-        base = ray.point
-        if ray.axis is Axis.AXIS2:
-            tip = Point2(base.s1, base.s2 + eps)
-        else:
-            tip = Point2(base.s1 + eps, base.s2)
-        if panel.inside(base) and panel.inside(tip):
-            out.append(panel.line(base, tip, _EPS, "3"))
-            if not labels:
-                out.append(panel.text(tip, f"epsilon = {eps}", dx=8, dy=0, size="10"))
+    if eps is None:
+        return
+    # The ray drawn is the first candidate (right along s2, then up
+    # along s1) whose reach attains epsilon.
+    rays = ((right, Point2(right.s1, right.s2 + eps)), (up, Point2(up.s1 + eps, up.s2)))
+    base, tip = next(ray for ray, delta in zip(rays, result.deltas) if delta == eps)
+    if panel.inside(base) and panel.inside(tip):
+        out.append(panel.line(base, tip, _EPS, "3"))
+        if not labels:
+            out.append(panel.text(tip, f"epsilon = {eps}", dx=8, dy=0, size="10"))
 
 
 def _legend(

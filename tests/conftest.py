@@ -8,7 +8,7 @@ well-formed inputs.
 from fractions import Fraction
 from random import Random
 
-from binomial_fpt import Binomial, SplittingMatrix, build
+from binomial_fpt import Binomial, Point2, SplittingMatrix, build
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -73,3 +73,30 @@ def random_axis_biased_matrix(rng: Random, max_exp: int = 9) -> SplittingMatrix:
             return random_axis_biased_matrix(rng, max_exp)
         return build(tuple(a for a, _ in rows), tuple(b for _, b in rows))
     return random_core_matrix(rng, max_rows=3, max_exp=max_exp)
+
+
+def contains(matrix: SplittingMatrix, s: Point2) -> bool:
+    """Reference membership in P, every constraint weak."""
+    if s.s1 < 0 or s.s2 < 0:
+        return False
+    return all(a * s.s1 + b * s.s2 <= 1 for a, b in matrix.rows)
+
+
+def ray_max_delta(matrix: SplittingMatrix, base: Point2, coord: int) -> Fraction | None:
+    """Reference ray reach: the largest delta >= 0 with base plus delta
+    along coordinate coord (0 for s1, 1 for s2) still in P.
+
+    None when the base itself lies outside P; constraint rows only grow
+    along an axis direction, so no positive delta can recover
+    feasibility.
+    """
+    if not contains(matrix, base):
+        return None
+    bounds = []
+    for row in matrix.rows:
+        if row[coord] > 0:
+            slack = 1 - row[0] * base.s1 - row[1] * base.s2
+            bounds.append(Fraction(slack, row[coord]))
+    if not bounds:
+        raise ValueError("ray is unbounded inside the polytope")
+    return min(bounds)

@@ -269,6 +269,19 @@ class TestPolytope:
         assert "--level needs --prime" in err
         assert not target.exists()
 
+    def test_huge_level_fails_fast(self, capsys, tmp_path):
+        # truncating eta at level 3e6 would take seconds of Fraction gcds
+        target = tmp_path / "comp.svg"
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "polytope", COMP, "--svg", str(target), "--prime", "37", "--level", "3000000"
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err == "error: --level must be at most 1000\n"
+        assert not target.exists()
+
     def test_unwritable_svg_path(self, capsys, tmp_path):
         target = tmp_path / "missing" / "f.svg"
         code, out, err = run(capsys, "polytope", COMP, "--svg", str(target))

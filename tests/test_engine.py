@@ -14,7 +14,6 @@ import pytest
 
 import binomial_fpt.engine as engine
 from binomial_fpt import (
-    Axis,
     Binomial,
     CarryProfile,
     FptCase,
@@ -31,14 +30,13 @@ from binomial_fpt import (
     nu_naive,
     nu_semigroup,
     prepare,
-    ray_max_delta,
     scaled_truncation,
     tail,
     truncate,
 )
 from binomial_fpt.primes import primes_between
 
-from conftest import random_binomial
+from conftest import random_binomial, ray_max_delta
 
 COMP = Binomial(("x", "y"), (7, 2), (5, 6))
 
@@ -367,21 +365,19 @@ def reference_carry_step(matrix, mp, p):
     trunc_sum = truncate(eta_sum, p, L)
     assert t1 + t2 + step == trunc_sum
 
-    def candidate(point, axis):
+    def reach(point, coord):
         inside = contains_lower_interior(matrix, point)
-        delta = ray_max_delta(matrix, point, axis) if inside else None
-        return engine.Candidate(point, axis, inside, delta)
+        return ray_max_delta(matrix, point, coord) if inside else None
 
-    right = candidate(Point2(t1 + step, t2), Axis.AXIS2)
-    up = candidate(Point2(t1, t2 + step), Axis.AXIS1)
+    # the right candidate's ray runs along s2, the upper one's along s1
+    deltas = (reach(Point2(t1 + step, t2), 1), reach(Point2(t1, t2 + step), 0))
     truncated = engine.FptResult(
         trunc_sum, FptCase.TRUNCATED, eta=eta, eta_sum=eta_sum, carry_free=False,
-        L=L, d=d, truncation=Point2(t1, t2), candidates=(right, up),
+        L=L, d=d, deltas=deltas,
     )
-    deltas = [c.delta for c in (right, up) if c.inside]
-    if not deltas:
+    if deltas == (None, None):
         return truncated
-    epsilon = max(deltas)
+    epsilon = max(delta for delta in deltas if delta is not None)
     assert 0 < epsilon <= tail(eta_sum, p, L)
     return replace(
         truncated, value=trunc_sum + epsilon,
@@ -415,7 +411,7 @@ def prime_power_base(n):
 
 class TestIntegerCarryStep:
     def test_matches_the_fraction_reference(self):
-        """Whole results, candidates and deltas included, agree with
+        """Whole results, the candidates' ray reaches included, agree with
         the Fraction carry step on seeded binomials x primes."""
         rng = Random(306)
         small = primes_between(2, 200)

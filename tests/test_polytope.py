@@ -6,20 +6,23 @@ from random import Random
 import pytest
 
 from binomial_fpt import (
-    Axis,
     Point2,
     SplittingMatrix,
     build,
-    contains,
     contains_lower_interior,
     maximal_point,
-    ray_max_delta,
     segment_meets_lower_interior,
     truncate,
     vertices,
 )
 
-from conftest import SMALL_PRIMES, random_axis_biased_matrix, random_core_matrix
+from conftest import (
+    SMALL_PRIMES,
+    contains,
+    random_axis_biased_matrix,
+    random_core_matrix,
+    ray_max_delta,
+)
 
 FIG1 = build((1, 4, 7), (9, 8, 4))
 COMP = build((7, 2), (5, 6))
@@ -221,26 +224,26 @@ class TestMaximalPoint:
 
 class TestRayMaxDelta:
     def test_epsilon_ray(self):
-        assert ray_max_delta(COMP, frac_point(43, 1369, 213, 1369), Axis.AXIS2) == Fraction(3, 6845)
+        assert ray_max_delta(COMP, frac_point(43, 1369, 213, 1369), 1) == Fraction(3, 6845)
 
     def test_from_origin(self):
-        assert ray_max_delta(COMP, Point2(Fraction(0), Fraction(0)), Axis.AXIS2) == Fraction(1, 6)
+        assert ray_max_delta(COMP, Point2(Fraction(0), Fraction(0)), 1) == Fraction(1, 6)
 
     def test_infeasible_base(self):
-        assert ray_max_delta(COMP, Point2(Fraction(1), Fraction(1)), Axis.AXIS2) is None
+        assert ray_max_delta(COMP, Point2(Fraction(1), Fraction(1)), 1) is None
 
     def test_endpoint_is_extremal(self):
         rng = Random(205)
         for _ in range(200):
             matrix = random_core_matrix(rng)
             base = random_feasible_point(rng, matrix)
-            axis = rng.choice((Axis.AXIS1, Axis.AXIS2))
-            delta = ray_max_delta(matrix, base, axis)
+            coord = rng.choice((0, 1))
+            delta = ray_max_delta(matrix, base, coord)
             assert delta is not None and delta >= 0
-            step = Point2(base.s1 + delta, base.s2) if axis is Axis.AXIS1 else Point2(base.s1, base.s2 + delta)
+            step = Point2(base.s1 + delta, base.s2) if coord == 0 else Point2(base.s1, base.s2 + delta)
             beyond = (
                 Point2(step.s1 + Fraction(1, 10**6), step.s2)
-                if axis is Axis.AXIS1
+                if coord == 0
                 else Point2(step.s1, step.s2 + Fraction(1, 10**6))
             )
             assert contains(matrix, step)

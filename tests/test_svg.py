@@ -70,6 +70,27 @@ def test_legend_carry_data_matches_the_engine():
             None,
             "792618543fb14211968dfe2169293fbbd75b26c189a1f5446cc0288a9d2522a4",
         ),
+        (
+            # Only the upper candidate is inside: its ray along s1 is drawn.
+            "x*y^3 + x^2",
+            3,
+            None,
+            "44f0e994c54645a83abff7a1fe5c6ed621ea6d24bac308c229dd5e0b54b7622c",
+        ),
+        (
+            # TRUNCATED, no candidate inside: the dots, but no ray.
+            "x^2 + y^3",
+            5,
+            None,
+            "8919de018546084cef2555f5cfae199d6d7e2de61ffdcaaa327058cd51a4f5f4",
+        ),
+        (
+            # Both reaches equal epsilon: the tie goes to the right candidate.
+            "x*y^2 + x^2*y",
+            3,
+            None,
+            "3795229253e6f57e575f6d8fae6fcce5bbe88458c9cbefb8d2e843474177bafe",
+        ),
     ],
 )
 def test_golden_figure(poly, prime, level, digest):
