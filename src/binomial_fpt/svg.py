@@ -29,42 +29,35 @@ def _fmt(x: Fraction | int | float) -> str:
 
 
 class _Panel:
-    """Maps an exact world window onto a pixel rectangle (y flipped)."""
+    """Maps the exact square window [x0, x0 + span]^2 onto a size-pixel
+    square at (px, py), y flipped, through one exact scale size / span;
+    `inside` is the one test of a point against the window."""
 
-    def __init__(self, wx0, wy0, wx1, wy1, px, py, size):
-        self.wx0, self.wy0 = Fraction(wx0), Fraction(wy0)
-        self.wx1, self.wy1 = Fraction(wx1), Fraction(wy1)
+    def __init__(self, x0, y0, span, px, py, size):
+        self.x0, self.y0 = Fraction(x0), Fraction(y0)
+        self.x1, self.y1 = self.x0 + span, self.y0 + span
+        self.scale = size / Fraction(span)
         self.px, self.py, self.size = px, py, size
 
     def x(self, wx: Fraction) -> str:
-        t = (Fraction(wx) - self.wx0) / (self.wx1 - self.wx0)
-        return _fmt(self.px + t * self.size)
+        return _fmt(self.px + (wx - self.x0) * self.scale)
 
     def y(self, wy: Fraction) -> str:
-        t = (Fraction(wy) - self.wy0) / (self.wy1 - self.wy0)
-        return _fmt(self.py + self.size - t * self.size)
+        return _fmt(self.py + self.size - (wy - self.y0) * self.scale)
 
     def inside(self, pt: Point2) -> bool:
-        return (
-            self.wx0 <= pt.s1 <= self.wx1 and self.wy0 <= pt.s2 <= self.wy1
-        )
+        return self.x0 <= pt.s1 <= self.x1 and self.y0 <= pt.s2 <= self.y1
 
     def clip_line(self, a: int, b: int, c: int = 1) -> tuple[Point2, Point2] | None:
         """Segment of a*x + b*y = c inside the window, if any."""
         hits: set[Point2] = set()
         if b != 0:
-            for wx in (self.wx0, self.wx1):
-                wy = Fraction(c - a * wx, b)
-                if self.wy0 <= wy <= self.wy1:
-                    hits.add(Point2(Fraction(wx), wy))
+            hits.update(Point2(wx, Fraction(c - a * wx, b)) for wx in (self.x0, self.x1))
         if a != 0:
-            for wy in (self.wy0, self.wy1):
-                wx = Fraction(c - b * wy, a)
-                if self.wx0 <= wx <= self.wx1:
-                    hits.add(Point2(wx, Fraction(wy)))
-        if len(hits) < 2:
+            hits.update(Point2(Fraction(c - b * wy, a), wy) for wy in (self.y0, self.y1))
+        ordered = sorted(pt for pt in hits if self.inside(pt))
+        if len(ordered) < 2:
             return None
-        ordered = sorted(hits)
         return ordered[0], ordered[-1]
 
     def line(self, p1: Point2, p2: Point2, stroke: str, width="1.5", dash=None) -> str:
@@ -111,7 +104,7 @@ def polytope_figure(
 
     # P reaches farthest at its axis vertices (1/max a_i, 0) and (0, 1/max b_i)
     m = max(max(v) for v in verts) * Fraction(11, 10)
-    main = _Panel(0, 0, m, m, 70, 50, 470)
+    main = _Panel(0, 0, m, 70, 50, 470)
 
     result = None if prime is None or mp is None else carry_step(matrix, mp, prime)
     trunc_pt = step = None
@@ -140,18 +133,10 @@ def polytope_figure(
 
     if trunc_pt is not None:
         pad = step / 2
-        inset = _Panel(
-            trunc_pt.s1 - pad,
-            trunc_pt.s2 - pad,
-            trunc_pt.s1 + 2 * step + pad,
-            trunc_pt.s2 + 2 * step + pad,
-            640,
-            120,
-            330,
-        )
+        inset = _Panel(trunc_pt.s1 - pad, trunc_pt.s2 - pad, 3 * step, 640, 120, 330)
         out.append(
-            '<rect x="640" y="120" width="330" height="330" fill="none" '
-            f'stroke="{_GRID}" stroke-width="1" />'
+            f'<rect x="{inset.px}" y="{inset.py}" width="{inset.size}" '
+            f'height="{inset.size}" fill="none" stroke="{_GRID}" stroke-width="1" />'
         )
         out.append(
             '<text x="640" y="110" font-size="12" font-family="monospace">'
@@ -182,10 +167,10 @@ def _draw_panel(
         points = " ".join(f"{panel.x(v.s1)},{panel.y(v.s2)}" for v in ring)
         out.append(f'<polygon points="{points}" fill="{_FILL}" stroke="none" />')
         zero = Fraction(0)
-        out.append(panel.line(Point2(zero, panel.wy0), Point2(zero, panel.wy1), "black", "1"))
-        out.append(panel.line(Point2(panel.wx0, zero), Point2(panel.wx1, zero), "black", "1"))
-        out.append(panel.text(Point2(panel.wx1, zero), "s1", dx=-14, dy=16))
-        out.append(panel.text(Point2(zero, panel.wy1), "s2", dx=-16, dy=4))
+        out.append(panel.line(Point2(zero, panel.y0), Point2(zero, panel.y1), "black", "1"))
+        out.append(panel.line(Point2(panel.x0, zero), Point2(panel.x1, zero), "black", "1"))
+        out.append(panel.text(Point2(panel.x1, zero), "s1", dx=-14, dy=16))
+        out.append(panel.text(Point2(zero, panel.y1), "s2", dx=-16, dy=4))
     for a, b in matrix.rows:
         seg = panel.clip_line(a, b)
         if seg:

@@ -221,6 +221,38 @@ class TestScan:
         assert code == EXIT_BAD_INPUT
         assert "--mod must be positive" in err
 
+    def test_wide_window_fails_before_sieving(self, capsys, monkeypatch):
+        import binomial_fpt.cli as cli
+
+        def sieve(lo, hi):
+            raise AssertionError("a window wider than SCAN_WIDTH_MAX was sieved")
+
+        monkeypatch.setattr(cli, "primes_between", sieve)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "scan", COMP, "--primes", "2..100000000000")
+        assert time.perf_counter() - start < 0.5
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err == f"error: --primes window must hold at most {cli.SCAN_WIDTH_MAX} numbers\n"
+
+    @pytest.mark.parametrize("lo", [2, -10**12])
+    def test_widest_window_reaches_the_sieve(self, capsys, monkeypatch, lo):
+        # numbers below 2 hold no primes, so they do not count toward the width
+        import binomial_fpt.cli as cli
+
+        windows = []
+
+        def sieve(lo, hi):
+            windows.append((lo, hi))
+            return []
+
+        monkeypatch.setattr(cli, "primes_between", sieve)
+        hi = 1 + cli.SCAN_WIDTH_MAX
+        code, _, err = run(capsys, "scan", COMP, f"--primes={lo}..{hi}")
+        assert code == EXIT_BAD_INPUT
+        assert err == "error: empty prime range\n"
+        assert windows == [(lo, hi)]
+
 
 class TestPolytope:
     def test_figure_json(self, capsys):
@@ -280,6 +312,16 @@ class TestPolytope:
         assert code == EXIT_BAD_INPUT
         assert out == ""
         assert err == "error: --level must be at most 1000\n"
+        assert not target.exists()
+
+    @pytest.mark.parametrize("output", ["--svg", "--json"])
+    def test_negative_level_fails_at_the_flag(self, capsys, tmp_path, output):
+        target = tmp_path / "comp.svg"
+        argv = ["--svg", str(target)] if output == "--svg" else ["--json"]
+        code, out, err = run(capsys, "polytope", COMP, *argv, "--prime", "37", "--level", "-1")
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err == "error: --level must be at least 0\n"
         assert not target.exists()
 
     def test_unwritable_svg_path(self, capsys, tmp_path):

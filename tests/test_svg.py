@@ -9,7 +9,7 @@ import pytest
 from binomial_fpt import Binomial, fpt, parse
 from binomial_fpt.svg import polytope_figure
 
-from conftest import VARIABLE_NAMES
+from conftest import VARIABLE_NAMES, random_binomial
 
 LEGEND_LINE = re.compile(r'<text x="70" y="\d+" font-size="11" font-family="monospace">(.*)</text>')
 
@@ -96,3 +96,30 @@ def test_legend_carry_data_matches_the_engine():
 def test_golden_figure(poly, prime, level, digest):
     svg = polytope_figure(parse(poly), prime, level)
     assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+
+FIGURE_CORPUS_DIGEST = "b5204abbfdcbceca8b959d3d65111aace7f09939a7c6bc6ddc70f46033915ca8"
+
+
+def figure_corpus():
+    """300 seeded small binomials and one 64-row core, across primes and levels."""
+    rng = Random(20261018)
+    primes = (None, 2, 3, 37, 101, 10007)
+    levels = (None, 1, 3)
+    for i in range(300):
+        g = random_binomial(rng, max_vars=4, max_exp=7)
+        prime = primes[i % len(primes)]
+        yield g, prime, None if prime is None else levels[i // len(primes) % len(levels)]
+    a = [rng.randint(0, 40) for _ in range(64)]
+    b = [rng.choice([y for y in range(41) if y != x]) for x in a]
+    core = Binomial(tuple(f"x{i}" for i in range(1, 65)), tuple(a), tuple(b))
+    for prime in (2, 37, 10007):
+        for level in levels:
+            yield core, prime, level
+
+
+def test_figure_corpus_golden():
+    digest = hashlib.sha256()
+    for g, prime, level in figure_corpus():
+        digest.update(polytope_figure(g, prime, level).encode())
+    assert digest.hexdigest() == FIGURE_CORPUS_DIGEST
