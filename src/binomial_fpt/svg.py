@@ -1,15 +1,18 @@
 """Deterministic SVG figures of splitting polytopes.
 
-All geometry is computed with exact rationals; numbers are converted
-to decimal (12 significant digits) only when written into the SVG
-text.  Given a prime, the figure gains a legend with the carry data
-and a zoomed inset around the truncation of the maximal point, where
-the candidate points and the epsilon segment actually become visible.
+The geometry is exact: each panel maps, tests and clips points in
+integers, on the numerators and denominators of their coordinates, and
+rounds each pixel coordinate once, by one int / int division, to a
+float written with 12 significant digits.  Given a prime, the figure
+gains a legend with the carry data and a zoomed inset around the
+truncation of the maximal point, where the candidate points and the
+epsilon segment actually become visible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .base_p import truncate
 from .engine import Binomial, FptCase, FptResult, carry_step
@@ -24,41 +27,63 @@ _EPS = "#1e8449"
 _GRID = "#8a8a8a"
 
 
-def _fmt(x: Fraction | int | float) -> str:
-    return f"{float(x):.12g}"
+def _fmt(x: float) -> str:
+    return f"{x:.12g}"
 
 
 class _Panel:
     """Maps the exact square window [x0, x0 + span]^2 onto a size-pixel
-    square at (px, py), y flipped, through one exact scale size / span;
-    `inside` is the one test of a point against the window."""
+    square at (px, py), y flipped, through one scale size / span.  The
+    window's bounds are integers over one denominator w, and span = s/w,
+    so a coordinate n/d lands at pixel (n*k + d*c) / (d*s): one int / int
+    division, correctly rounded, so the float of that exact rational.
+    `_within` is the one test of a point, given as integer numerators
+    over positive denominators, against the window."""
 
     def __init__(self, x0, y0, span, px, py, size):
         self.x0, self.y0 = Fraction(x0), Fraction(y0)
         self.x1, self.y1 = self.x0 + span, self.y0 + span
-        self.scale = size / Fraction(span)
         self.px, self.py, self.size = px, py, size
+        w = lcm(self.x0.denominator, self.y0.denominator, Fraction(span).denominator)
+        xn, yn, s = (int(v * w) for v in (self.x0, self.y0, span))
+        self._w, self._s, self._k = w, s, w * size
+        self._bounds = (xn, xn + s, yn, yn + s)
+        self._cx = px * s - xn * size
+        self._cy = (py + size) * s + yn * size
 
     def x(self, wx: Fraction) -> str:
-        return _fmt(self.px + (wx - self.x0) * self.scale)
+        n, d = wx.numerator, wx.denominator
+        return _fmt((n * self._k + d * self._cx) / (d * self._s))
 
     def y(self, wy: Fraction) -> str:
-        return _fmt(self.py + self.size - (wy - self.y0) * self.scale)
+        n, d = wy.numerator, wy.denominator
+        return _fmt((d * self._cy - n * self._k) / (d * self._s))
+
+    def _within(self, xn: int, xd: int, yn: int, yd: int) -> bool:
+        x0, x1, y0, y1 = self._bounds
+        xw, yw = xn * self._w, yn * self._w
+        return x0 * xd <= xw <= x1 * xd and y0 * yd <= yw <= y1 * yd
 
     def inside(self, pt: Point2) -> bool:
-        return self.x0 <= pt.s1 <= self.x1 and self.y0 <= pt.s2 <= self.y1
+        s1, s2 = pt
+        return self._within(s1.numerator, s1.denominator, s2.numerator, s2.denominator)
 
     def clip_line(self, a: int, b: int, c: int = 1) -> tuple[Point2, Point2] | None:
         """Segment of a*x + b*y = c inside the window, if any."""
-        hits: set[Point2] = set()
+        w, (x0, x1, y0, y1) = self._w, self._bounds
+        hits: list[Point2] = []
         if b != 0:
-            hits.update(Point2(wx, Fraction(c - a * wx, b)) for wx in (self.x0, self.x1))
+            for xn, wx in ((x0, self.x0), (x1, self.x1)):
+                yn, yd = (c * w - a * xn, b * w) if b > 0 else (a * xn - c * w, -b * w)
+                if self._within(xn, w, yn, yd):
+                    hits.append(Point2(wx, Fraction(yn, yd)))
         if a != 0:
-            hits.update(Point2(Fraction(c - b * wy, a), wy) for wy in (self.y0, self.y1))
-        ordered = sorted(pt for pt in hits if self.inside(pt))
-        if len(ordered) < 2:
-            return None
-        return ordered[0], ordered[-1]
+            for yn, wy in ((y0, self.y0), (y1, self.y1)):
+                xn, xd = (c * w - b * yn, a * w) if a > 0 else (b * yn - c * w, -a * w)
+                if self._within(xn, xd, yn, w):
+                    hits.append(Point2(Fraction(xn, xd), wy))
+        lo, hi = min(hits, default=None), max(hits, default=None)
+        return None if lo == hi else (lo, hi)
 
     def line(self, p1: Point2, p2: Point2, stroke: str, width="1.5", dash=None) -> str:
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""

@@ -100,3 +100,41 @@ def ray_max_delta(matrix: SplittingMatrix, base: Point2, coord: int) -> Fraction
     if not bounds:
         raise ValueError("ray is unbounded inside the polytope")
     return min(bounds)
+
+
+def _fmt(x: Fraction | int | float) -> str:
+    return f"{float(x):.12g}"
+
+
+class FractionPanel:
+    """Reference figure panel: every map, window test and clip in exact
+    `Fraction` arithmetic, as `svg._Panel` (with `svg._fmt`) did before
+    its integer kernel.  Only the geometry is kept; the drawing methods
+    are unchanged there."""
+
+    def __init__(self, x0, y0, span, px, py, size):
+        self.x0, self.y0 = Fraction(x0), Fraction(y0)
+        self.x1, self.y1 = self.x0 + span, self.y0 + span
+        self.scale = size / Fraction(span)
+        self.px, self.py, self.size = px, py, size
+
+    def x(self, wx: Fraction) -> str:
+        return _fmt(self.px + (wx - self.x0) * self.scale)
+
+    def y(self, wy: Fraction) -> str:
+        return _fmt(self.py + self.size - (wy - self.y0) * self.scale)
+
+    def inside(self, pt: Point2) -> bool:
+        return self.x0 <= pt.s1 <= self.x1 and self.y0 <= pt.s2 <= self.y1
+
+    def clip_line(self, a: int, b: int, c: int = 1) -> tuple[Point2, Point2] | None:
+        """Segment of a*x + b*y = c inside the window, if any."""
+        hits: set[Point2] = set()
+        if b != 0:
+            hits.update(Point2(wx, Fraction(c - a * wx, b)) for wx in (self.x0, self.x1))
+        if a != 0:
+            hits.update(Point2(Fraction(c - b * wy, a), wy) for wy in (self.y0, self.y1))
+        ordered = sorted(pt for pt in hits if self.inside(pt))
+        if len(ordered) < 2:
+            return None
+        return ordered[0], ordered[-1]

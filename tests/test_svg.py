@@ -1,15 +1,21 @@
 """The polytope figure draws what the engine derives."""
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
+from fractions import Fraction
+from math import lcm
+from pathlib import Path
 from random import Random
 
 import pytest
 
-from binomial_fpt import Binomial, fpt, parse
-from binomial_fpt.svg import polytope_figure
+from binomial_fpt import Binomial, Point2, fpt, maximal_point, parse, truncate, vertices
+from binomial_fpt.svg import _Panel, polytope_figure
 
-from conftest import VARIABLE_NAMES, random_binomial
+from conftest import FractionPanel, VARIABLE_NAMES, random_binomial, random_core_matrix
 
 LEGEND_LINE = re.compile(r'<text x="70" y="\d+" font-size="11" font-family="monospace">(.*)</text>')
 
@@ -123,3 +129,120 @@ def test_figure_corpus_golden():
     for g, prime, level in figure_corpus():
         digest.update(polytope_figure(g, prime, level).encode())
     assert digest.hexdigest() == FIGURE_CORPUS_DIGEST
+
+
+WIDE_FIGURES_DIGEST = "5d06ea3661a97e39afa5f472d54ce23a968c9e9ac83b540a6005f42c7f84e8be"
+
+
+def test_golden_wide_core_figures():
+    """A 128-row core (exponents <= 40, drawn like the benchmark's wide
+    core) at p in {2, 37, 10^9 + 7}, with no level and at level 3, so
+    insets whose denominators reach p^d are pinned too."""
+    rng = Random(20261020)
+    while True:
+        a = [rng.randint(0, 40) for _ in range(128)]
+        b = [rng.choice([y for y in range(41) if y != x]) for x in a]
+        if any(a) and any(b):
+            break
+    core = Binomial(tuple(f"x{i}" for i in range(1, 129)), tuple(a), tuple(b))
+    digest = hashlib.sha256()
+    insets = 0
+    for prime in (2, 37, 10**9 + 7):
+        for level in (None, 3):
+            svg = polytope_figure(core, prime, level)
+            insets += 'width="1020"' in svg
+            digest.update(svg.encode())
+    assert insets >= 4
+    assert digest.hexdigest() == WIDE_FIGURES_DIGEST
+
+
+def test_figures_match_under_python_O():
+    """python -O strips assert statements, so the figure goldens must
+    still give the same bytes in a child run with that flag."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(root / "src"), env.get("PYTHONPATH")))
+    )
+    child = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "tests/test_svg.py",
+         "-k", "golden", "-q", "-p", "no:cacheprovider"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert "7 passed" in child.stdout, child.stdout + child.stderr
+
+
+PANEL_PRIMES = (2, 3, 5, 37, 10007, 10**9 + 7)
+
+
+def panel_windows(rng: Random):
+    """Seeded windows of both kinds, each with its core matrix: main
+    panels [0, 11/10 * the largest vertex coordinate]^2, and insets of
+    width 3 p^-d starting half a step below <eta>_d, so below 0 where a
+    coordinate of <eta>_d is 0."""
+    for i in range(150):
+        wide = i % 10 == 0
+        matrix = random_core_matrix(rng, max_rows=40 if wide else 4, max_exp=40 if wide else 9)
+        span = max(max(v) for v in vertices(matrix)) * Fraction(11, 10)
+        yield matrix, (0, 0, span, 70, 50, 470)
+        eta = maximal_point(matrix).point
+        p, d = rng.choice(PANEL_PRIMES), rng.randint(1, 4)
+        step = Fraction(1, p**d)
+        x0, y0 = (truncate(v, p, d) - step / 2 for v in eta)
+        yield matrix, (x0, y0, 3 * step, 640, 120, 330)
+
+
+def world_points(rng: Random, ref: FractionPanel):
+    """The window's corners, grid points on and around it, and points
+    with random denominators near it."""
+    span = ref.x1 - ref.x0
+    for wx in (ref.x0, ref.x1):
+        for wy in (ref.y0, ref.y1):
+            yield Point2(wx, wy)
+    for _ in range(20):
+        fx, fy = (Fraction(rng.randint(-20, 120), 100) for _ in range(2))
+        yield Point2(ref.x0 + fx * span, ref.y0 + fy * span)
+        fx, fy = (Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(2))
+        yield Point2(ref.x0 + fx * span, ref.y0 + fy * span)
+
+
+def corner_lines(ref: FractionPanel):
+    """(a, b, c, expect_segment) for integer lines through each window
+    corner: ones that touch the window only there, and ones that go on
+    into it, so that two edge crossings coincide at the corner."""
+    for wx, wy, touch, enter in (
+        (ref.x0, ref.y0, (1, 1), (2, -1)),
+        (ref.x1, ref.y1, (1, 1), (1, -1)),
+        (ref.x0, ref.y1, (1, -1), (1, 2)),
+        (ref.x1, ref.y0, (1, -1), (2, 1)),
+    ):
+        w = lcm(wx.denominator, wy.denominator)
+        for (a, b), expect in ((touch, False), (enter, True)):
+            yield a * w, b * w, int((a * wx + b * wy) * w), expect
+
+
+def test_panel_matches_fraction_reference():
+    rng = Random(20261021)
+    corner_segments = below_zero = 0
+    for matrix, window in panel_windows(rng):
+        panel, ref = _Panel(*window), FractionPanel(*window)
+        below_zero += ref.x0 < 0 or ref.y0 < 0
+        for pt in world_points(rng, ref):
+            assert panel.x(pt.s1) == ref.x(pt.s1), (window, pt)
+            assert panel.y(pt.s2) == ref.y(pt.s2), (window, pt)
+            assert panel.inside(pt) == ref.inside(pt), (window, pt)
+        total = maximal_point(matrix).sum
+        lines = [(a, b, 1) for a, b in matrix.rows]
+        lines.append((total.denominator, total.denominator, total.numerator))
+        for _ in range(10):
+            lines.append((0, rng.randint(-9, 9) or 1, rng.randint(-9, 9)))
+            lines.append((rng.randint(-9, 9) or 1, 0, rng.randint(-9, 9)))
+            lines.append((rng.randint(-9, 9), rng.randint(-9, 9) or 1, rng.randint(-9, 9)))
+        for line in lines:
+            assert panel.clip_line(*line) == ref.clip_line(*line), (window, line)
+        for a, b, c, expect in corner_lines(ref):
+            seg = panel.clip_line(a, b, c)
+            assert seg == ref.clip_line(a, b, c), (window, a, b, c)
+            assert (seg is not None) == expect, (window, a, b, c)
+            corner_segments += expect
+    assert corner_segments == 1200 and below_zero >= 50
