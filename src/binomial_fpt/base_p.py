@@ -209,10 +209,6 @@ def adds_without_carrying(k1: int, k2: int, p: int) -> bool:
     return True
 
 
-def multinomial_nonzero(k1: int, k2: int, p: int) -> bool:
-    """Whether binom(k1 + k2, k1) is nonzero mod the prime p.
-
-    By Lucas' rule this holds exactly when k1 and k2 add without
-    carrying in base p.
-    """
-    return adds_without_carrying(k1, k2, p)
+# Whether binom(k1 + k2, k1) is nonzero mod the prime p: by Lucas' rule,
+# exactly when k1 and k2 add without carrying in base p.
+multinomial_nonzero = adds_without_carrying

@@ -16,7 +16,7 @@ from . import jsonio
 from .base_p import render_positional
 from .engine import FptResult, fpt, fpt_limit, prepare
 from .oracle import BudgetExceeded, NuQuery, nu_monomial, nu_naive, nu_semigroup, verify
-from .parsing import ParseError, parse, parse_monomial
+from .parsing import ParseError, binomial_to_text, parse, parse_monomial
 from .polytope import build, maximal_point, vertices
 from .primes import is_prime, primes_between
 from .svg import polytope_figure
@@ -147,18 +147,17 @@ def _cmd_scan(args) -> int:
     if not primes:
         raise _CliError("empty prime range")
     plan = prepare(g)
-    limit = plan.limit
     rows = [(p, plan.at(p)) for p in primes]
+    congruence = None if args.mod is None else (args.mod, args.residue)
+    data = jsonio.scan_to_json(g, lo, hi, congruence, plan.limit, rows)
     if args.json:
-        congruence = None if args.mod is None else (args.mod, args.residue)
-        print(json.dumps(jsonio.scan_to_json(g, lo, hi, congruence, limit, rows)))
+        print(json.dumps(data))
         return EXIT_OK
     width = max(len(str(p)) for p, _ in rows)
     for p, result in rows:
         print(f"p = {p:>{width}}  fpt = {result.value}  [{result.case.value}]")
-    hits = sum(1 for _, r in rows if r.value == limit)
     print(
-        f"limit {limit} attained at {hits} of {len(rows)} primes "
+        f"limit {plan.limit} attained at {data['limit_match_count']} of {len(rows)} primes "
         f"(characteristic-zero limit / log canonical threshold)"
     )
     return EXIT_OK
@@ -190,39 +189,30 @@ def _cmd_oracle(args) -> int:
     _require_prime(args.prime)
     if args.level < 1:
         raise _CliError("--level must be at least 1")
-    semigroup = naive = None
     if len([t for t in args.poly.split("+") if t.strip()]) == 1:
-        _, exponents = parse_monomial(args.poly)
+        _, exponents = parse_monomial(args.poly, args.prime)
+        text = args.poly.strip()
         nu = nu_monomial(exponents, args.prime, args.level)
-        if args.method in ("semigroup", "both"):
-            semigroup = nu
-        if args.method in ("naive", "both"):
-            naive = nu
-        g = None
+        methods = {"semigroup": lambda: nu, "naive": lambda: nu}
     else:
         g = parse(args.poly, args.prime)
+        text = binomial_to_text(g)
         query = NuQuery(g, args.prime, args.level)
-        if args.method in ("semigroup", "both"):
-            semigroup = nu_semigroup(query)
-        if args.method in ("naive", "both"):
-            naive = nu_naive(query)
+        methods = {"semigroup": lambda: nu_semigroup(query), "naive": lambda: nu_naive(query)}
+    nus = {
+        name: method() if args.method in (name, "both") else None
+        for name, method in methods.items()
+    }
+    data = jsonio.oracle_to_json(text, args.prime, args.level, nus["semigroup"], nus["naive"])
     if args.json:
-        source = args.poly.strip() if g is None else None
-        print(
-            json.dumps(
-                jsonio.oracle_to_json(g, args.prime, args.level, semigroup, naive, source)
-            )
-        )
+        print(json.dumps(data))
     else:
-        if semigroup is not None:
-            print(f"semigroup nu = {semigroup}")
-        if naive is not None:
-            print(f"naive nu = {naive}")
-        if semigroup is not None and naive is not None:
-            print("agreement" if semigroup == naive else "MISMATCH")
-    if semigroup is not None and naive is not None and semigroup != naive:
-        return EXIT_MISMATCH
-    return EXIT_OK
+        for name, value in nus.items():
+            if value is not None:
+                print(f"{name} nu = {value}")
+        if data["match"] is not None:
+            print("agreement" if data["match"] else "MISMATCH")
+    return EXIT_MISMATCH if data["match"] is False else EXIT_OK
 
 
 _COMMANDS = {

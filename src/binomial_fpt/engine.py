@@ -28,7 +28,7 @@ violated expectation raises RuntimeError instead of a wrong value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import lcm
@@ -62,12 +62,7 @@ class Binomial:
             raise ValueError("exponent vectors must match the variable list")
         if len(set(self.variables)) != n:
             raise ValueError("repeated variable name")
-        if any(x < 0 for x in self.a + self.b):
-            raise ValueError("exponents must be nonnegative")
-        if self.a == self.b:
-            raise ValueError("monomials not distinct")
-        if any(x == 0 and y == 0 for x, y in zip(self.a, self.b)):
-            raise ValueError("variable appears in neither monomial")
+        build(self.a, self.b)  # the exponent checks, stated once there
 
     def vanishes_at_origin(self) -> bool:
         return any(self.a) and any(self.b)
@@ -251,11 +246,8 @@ class Plan:
         core = carry_step(*self.core, p)
         if mono is None:
             return core
-        return FptResult(
-            min(mono, core.value), FptCase.MIN_COMBINED, eta=core.eta,
-            eta_sum=core.eta_sum, carry_free=core.carry_free, L=core.L, d=core.d,
-            epsilon=core.epsilon, monomial_fpt=mono, core_fpt=core.value,
-            deltas=core.deltas,
+        return replace(
+            core, value=min(mono, core.value), case=FptCase.MIN_COMBINED, monomial_fpt=mono
         )
 
 

@@ -21,6 +21,10 @@ def rational_to_json(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
 
+def _rational_or_null(x: Fraction | None) -> dict | None:
+    return None if x is None else rational_to_json(x)
+
+
 def result_to_json(
     g: Binomial,
     p: int,
@@ -29,11 +33,6 @@ def result_to_json(
     verification: VerificationReport | None = None,
 ) -> dict:
     head, block = positional_digits(result.value, p)
-    if result.carry_free:
-        level: int | str | None = "inf"
-    else:
-        level = result.L
-    limit_text = str(limit)
     data = {
         "input": binomial_to_text(g),
         "prime": p,
@@ -43,16 +42,12 @@ def result_to_json(
         "eta": None
         if result.eta is None
         else [rational_to_json(result.eta.s1), rational_to_json(result.eta.s2)],
-        "eta_sum": None if result.eta_sum is None else rational_to_json(result.eta_sum),
-        "L": level,
+        "eta_sum": _rational_or_null(result.eta_sum),
+        "L": "inf" if result.carry_free else result.L,
         "d": result.d,
-        "epsilon": None if result.epsilon is None else rational_to_json(result.epsilon),
-        "monomial_part": None
-        if result.monomial_fpt is None
-        else rational_to_json(result.monomial_fpt),
-        "notes": [
-            f"characteristic-zero limit (log canonical threshold) = {limit_text}"
-        ],
+        "epsilon": _rational_or_null(result.epsilon),
+        "monomial_part": _rational_or_null(result.monomial_fpt),
+        "notes": [f"characteristic-zero limit (log canonical threshold) = {limit}"],
     }
     if verification is not None:
         data["verification"] = asdict(verification)
@@ -81,23 +76,17 @@ def scan_to_json(
 
 
 def oracle_to_json(
-    g: Binomial | None,
-    p: int,
-    e: int,
-    semigroup: int | None,
-    naive: int | None,
-    source: str | None = None,
+    text: str, p: int, e: int, semigroup: int | None, naive: int | None
 ) -> dict:
-    match = None
-    if semigroup is not None and naive is not None:
-        match = semigroup == naive
+    """The oracle command's document; its match is the one verdict, None
+    unless both methods ran."""
     return {
-        "input": source if g is None else binomial_to_text(g),
+        "input": text,
         "prime": p,
         "level": e,
         "semigroup_nu": semigroup,
         "naive_nu": naive,
-        "match": match,
+        "match": None if semigroup is None or naive is None else semigroup == naive,
     }
 
 

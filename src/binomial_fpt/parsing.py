@@ -55,6 +55,16 @@ def _parse_term(term: str, position: int) -> tuple[int | None, dict[str, int]]:
     return coeff, exponents
 
 
+def _reduce(coeff: int | None, prime: int | None) -> int | None:
+    """The coefficient rule: reduce mod the prime when given, reject a
+    coefficient that vanishes there, and normalize one away to None."""
+    if coeff is not None and prime is not None:
+        coeff %= prime
+        if coeff == 0:
+            raise ParseError("zero coefficient mod p")
+    return None if coeff == 1 else coeff
+
+
 def parse(text: str, prime: int | None = None) -> Binomial:
     """Parse binomial text; with a prime, reduce coefficients mod p.
 
@@ -75,24 +85,21 @@ def parse(text: str, prime: int | None = None) -> Binomial:
                 variables.append(var)
     a = tuple(m1.get(v, 0) for v in variables)
     b = tuple(m2.get(v, 0) for v in variables)
-    if prime is not None:
-        c1 = None if c1 is None else c1 % prime
-        c2 = None if c2 is None else c2 % prime
-        if c1 == 0 or c2 == 0:
-            raise ParseError("zero coefficient mod p")
-    c1 = None if c1 == 1 else c1
-    c2 = None if c2 == 1 else c2
-    return Binomial(tuple(variables), a, b, c1, c2)
+    return Binomial(tuple(variables), a, b, _reduce(c1, prime), _reduce(c2, prime))
 
 
-def parse_monomial(text: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """Parse a single nonconstant monomial.
+def parse_monomial(
+    text: str, prime: int | None = None
+) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """Parse a single nonconstant monomial; with a prime, its coefficient
+    must not vanish mod p, as in parse.
 
     Degenerate input for the brute-force oracles, which also answer
     nu queries for one-term polynomials; the threshold pipeline proper
     accepts only binomials.
     """
     coeff, exponents = _parse_term(text.strip(), 1)
+    _reduce(coeff, prime)
     variables = tuple(exponents)
     return variables, tuple(exponents[v] for v in variables)
 

@@ -405,6 +405,40 @@ class TestOracleCommand:
         assert code == EXIT_MISMATCH
         assert "MISMATCH" in out
 
+    def test_oracle_mismatch_json(self, capsys, monkeypatch):
+        import binomial_fpt.cli as cli
+
+        monkeypatch.setattr(cli, "nu_semigroup", lambda q, **kw: 5)
+        code, out, _ = run(
+            capsys, "oracle", COMP, "--prime", "43", "--level", "1", "--json"
+        )
+        assert code == EXIT_MISMATCH
+        payload = json.loads(out)
+        assert (payload["semigroup_nu"], payload["naive_nu"]) == (5, 7)
+        assert payload["match"] is False
+
+    def test_monomial_both_methods_match(self, capsys):
+        code, out, _ = run(
+            capsys, "oracle", "x^2*y", "--prime", "5", "--level", "2",
+            "--method", "both", "--json",
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        jsonschema.validate(payload, jsonio.ORACLE_SCHEMA)
+        assert payload["input"] == "x^2*y"
+        assert payload["semigroup_nu"] == payload["naive_nu"] == 12
+        assert payload["match"] is True
+
+    @pytest.mark.parametrize("output", [(), ("--json",)], ids=["text", "json"])
+    def test_monomial_zero_coefficient_mod_p(self, capsys, output):
+        # 3*x^2 is zero in F_3, just as a binomial's vanishing coefficient is
+        code, out, err = run(
+            capsys, "oracle", "3*x^2", "--prime", "3", "--level", "1", *output
+        )
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err == "error: zero coefficient mod p\n"
+
 
 class TestArgumentErrors:
     def test_unknown_command(self, capsys):

@@ -1,13 +1,9 @@
 """End-to-end threshold computation: factoring, min rule, case dispatch."""
 
-import os
-import subprocess
-import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
-from pathlib import Path
 from random import Random
 
 import pytest
@@ -36,9 +32,28 @@ from binomial_fpt import (
 )
 from binomial_fpt.primes import primes_between
 
-from conftest import random_binomial, ray_max_delta
+from conftest import random_binomial, ray_max_delta, run_optimized
 
 COMP = Binomial(("x", "y"), (7, 2), (5, 6))
+
+
+class TestBinomialChecks:
+    @pytest.mark.parametrize(
+        "variables, a, b, message",
+        [
+            (("x", "y"), (-1, 1), (1, 0), "exponents must be nonnegative"),
+            (("x", "y"), (1, 2), (1, 2), "monomials not distinct"),
+            (("x", "y"), (1, 0), (2, 0), "variable appears in neither monomial"),
+            (("x", "y"), (1,), (0, 1), "exponent vectors must match the variable list"),
+            (("x", "x"), (1, 0), (0, 1), "repeated variable name"),
+            # the negative exponent fires before the equal monomials
+            (("x",), (-1,), (-1,), "exponents must be nonnegative"),
+        ],
+        ids=["negative", "equal", "neither", "length", "repeated-name", "order"],
+    )
+    def test_malformed_binomial_message(self, variables, a, b, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Binomial(variables, a, b)
 
 
 class TestFactor:
@@ -212,16 +227,7 @@ class TestOptimizedRun:
     def test_guards_fire_under_python_O(self):
         """python -O strips assert statements, so the four carry_step
         guard tests must still pass in a child run with that flag."""
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (str(root / "src"), env.get("PYTHONPATH")))
-        )
-        child = subprocess.run(
-            [sys.executable, "-O", "-m", "pytest", "tests/test_engine.py",
-             "-k", "CarryStepGuards", "-q", "-p", "no:cacheprovider"],
-            cwd=root, env=env, capture_output=True, text=True, timeout=120,
-        )
+        child = run_optimized("tests/test_engine.py", "CarryStepGuards")
         assert "4 passed" in child.stdout, child.stdout + child.stderr
 
 

@@ -87,6 +87,11 @@ class TestMonomial:
         with pytest.raises(ParseError):
             parse_monomial("7")
 
+    def test_coefficient_checked_mod_p(self):
+        with pytest.raises(ParseError, match="zero coefficient mod p"):
+            parse_monomial("5*x", 5)
+        assert parse_monomial("5*x", 7) == (("x",), (1,))
+
 
 class TestRoundTrip:
     def test_canonical_examples(self):

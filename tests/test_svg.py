@@ -1,13 +1,9 @@
 """The polytope figure draws what the engine derives."""
 
 import hashlib
-import os
 import re
-import subprocess
-import sys
 from fractions import Fraction
 from math import lcm
-from pathlib import Path
 from random import Random
 
 import pytest
@@ -15,7 +11,13 @@ import pytest
 from binomial_fpt import Binomial, Point2, fpt, maximal_point, parse, truncate, vertices
 from binomial_fpt.svg import _Panel, polytope_figure
 
-from conftest import FractionPanel, VARIABLE_NAMES, random_binomial, random_core_matrix
+from conftest import (
+    FractionPanel,
+    VARIABLE_NAMES,
+    random_binomial,
+    random_core_matrix,
+    run_optimized,
+)
 
 LEGEND_LINE = re.compile(r'<text x="70" y="\d+" font-size="11" font-family="monospace">(.*)</text>')
 
@@ -159,16 +161,7 @@ def test_golden_wide_core_figures():
 def test_figures_match_under_python_O():
     """python -O strips assert statements, so the figure goldens must
     still give the same bytes in a child run with that flag."""
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(root / "src"), env.get("PYTHONPATH")))
-    )
-    child = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "tests/test_svg.py",
-         "-k", "golden", "-q", "-p", "no:cacheprovider"],
-        cwd=root, env=env, capture_output=True, text=True, timeout=120,
-    )
+    child = run_optimized("tests/test_svg.py", "golden")
     assert "7 passed" in child.stdout, child.stdout + child.stderr
 
 
