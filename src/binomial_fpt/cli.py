@@ -16,7 +16,7 @@ from . import jsonio
 from .base_p import render_positional
 from .engine import FptResult, fpt, fpt_limit, prepare
 from .oracle import BudgetExceeded, NuQuery, nu_monomial, nu_naive, nu_semigroup, verify
-from .parsing import ParseError, binomial_to_text, parse, parse_monomial
+from .parsing import ParseError, binomial_to_text, monomial_to_text, parse, parse_monomial
 from .polytope import build, maximal_point, vertices
 from .primes import is_prime, primes_between
 from .svg import polytope_figure
@@ -191,7 +191,7 @@ def _cmd_oracle(args) -> int:
         raise _CliError("--level must be at least 1")
     if len([t for t in args.poly.split("+") if t.strip()]) == 1:
         _, exponents = parse_monomial(args.poly, args.prime)
-        text = args.poly.strip()
+        text = monomial_to_text(args.poly, args.prime)
         nu = nu_monomial(exponents, args.prime, args.level)
         methods = {"semigroup": lambda: nu, "naive": lambda: nu}
     else:

@@ -121,3 +121,9 @@ def binomial_to_text(g: Binomial) -> str:
     first = _term_text(g.coeff1, g.variables, g.a)
     second = _term_text(g.coeff2, g.variables, g.b)
     return f"{first} + {second}"
+
+
+def monomial_to_text(text: str, prime: int | None = None) -> str:
+    """Canonical form of monomial text, by the term and coefficient rules of binomials."""
+    coeff, exponents = _parse_term(text.strip(), 1)
+    return _term_text(_reduce(coeff, prime), tuple(exponents), tuple(exponents.values()))

@@ -5,11 +5,7 @@ failure reproduces exactly; the helpers here only know how to draw
 well-formed inputs.
 """
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 from random import Random
 
 from binomial_fpt import Binomial, Point2, SplittingMatrix, build
@@ -104,21 +100,6 @@ def ray_max_delta(matrix: SplittingMatrix, base: Point2, coord: int) -> Fraction
     if not bounds:
         raise ValueError("ray is unbounded inside the polytope")
     return min(bounds)
-
-
-def run_optimized(test_file: str, selection: str) -> subprocess.CompletedProcess:
-    """Run the tests of test_file that match -k selection in a child
-    python -O, which strips assert statements, from the checkout root."""
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(root / "src"), env.get("PYTHONPATH")))
-    )
-    return subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", test_file,
-         "-k", selection, "-q", "-p", "no:cacheprovider"],
-        cwd=root, env=env, capture_output=True, text=True, timeout=120,
-    )
 
 
 def _fmt(x: Fraction | int | float) -> str:

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import shlex
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -12,6 +14,8 @@ from binomial_fpt.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_MISMATCH, EXIT_OK
 from binomial_fpt.oracle import VerificationReport
 
 COMP = "x^7*y^2+x^5*y^6"
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -429,6 +433,17 @@ class TestOracleCommand:
         assert payload["semigroup_nu"] == payload["naive_nu"] == 12
         assert payload["match"] is True
 
+    @pytest.mark.parametrize(
+        "poly, prime, canonical",
+        [("x^2*x", "3", "x^3"), (" 4*x^2*x ", "5", "4*x^3"), ("4*x^2*x", "3", "x^3")],
+    )
+    def test_monomial_input_is_canonical(self, capsys, poly, prime, canonical):
+        # as a binomial's: repeated factors multiplied out, the
+        # coefficient reduced mod p and a coefficient of one dropped
+        code, out, _ = run(capsys, "oracle", poly, "--prime", prime, "--level", "1", "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["input"] == canonical
+
     @pytest.mark.parametrize("output", [(), ("--json",)], ids=["text", "json"])
     def test_monomial_zero_coefficient_mod_p(self, capsys, output):
         # 3*x^2 is zero in F_3, just as a binomial's vanishing coefficient is
@@ -449,3 +464,15 @@ class TestArgumentErrors:
         code, _, err = run(capsys, "compute", COMP, "--prime", "43", "--verify", "0")
         assert code == EXIT_BAD_INPUT
         assert "at least 1" in err
+
+
+def test_readme_examples(capsys, monkeypatch, tmp_path):
+    """Each `$ binomial-fpt ...` example in README's "Examples:" block
+    exits 0 and prints the output shown under it; run from tmp_path, so
+    the figure it writes lands there."""
+    block = README.read_text().split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    examples = [chunk.split("\n", 1) for chunk in block.split("$ binomial-fpt ")[1:]]
+    assert len(examples) == 5
+    monkeypatch.chdir(tmp_path)
+    for command, documented in examples:
+        assert run(capsys, *shlex.split(command)) == (EXIT_OK, documented.rstrip("\n") + "\n", "")

@@ -32,7 +32,7 @@ from binomial_fpt import (
 )
 from binomial_fpt.primes import primes_between
 
-from conftest import random_binomial, ray_max_delta, run_optimized
+from conftest import random_binomial, ray_max_delta
 
 COMP = Binomial(("x", "y"), (7, 2), (5, 6))
 
@@ -196,8 +196,8 @@ class TestLargeCore:
 
 
 class TestCarryStepGuards:
-    """Each invariant carry_step checks raises when forced to fail, so
-    the checks hold under python -O as well."""
+    """Each invariant carry_step checks raises when forced to fail; a
+    raise, unlike an assert, holds under python -O (test_run_mode.py)."""
 
     def test_carry_profile_out_of_range(self, monkeypatch):
         monkeypatch.setattr(engine, "carry_profile", lambda a, b, p: CarryProfile(1, 2, 2))
@@ -221,14 +221,6 @@ class TestCarryStepGuards:
         monkeypatch.setattr(engine, "tail", lambda alpha, p, e: Fraction(3, 6845))
         with pytest.raises(RuntimeError, match="equality criterion"):
             fpt(COMP, 37)
-
-
-class TestOptimizedRun:
-    def test_guards_fire_under_python_O(self):
-        """python -O strips assert statements, so the four carry_step
-        guard tests must still pass in a child run with that flag."""
-        child = run_optimized("tests/test_engine.py", "CarryStepGuards")
-        assert "4 passed" in child.stdout, child.stdout + child.stderr
 
 
 class TestTruncationAndLimit:

@@ -1,7 +1,9 @@
 """Brute-force Frobenius-power oracles."""
 
 import time
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, product
 from random import Random
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from binomial_fpt import (
     Binomial,
     BudgetExceeded,
+    FptCase,
     NuQuery,
     adds_without_carrying,
     fpt,
@@ -18,6 +21,7 @@ from binomial_fpt import (
     nu_naive,
     nu_semigroup,
     oracle,
+    prepare,
     scaled_truncation,
     verify,
 )
@@ -223,3 +227,23 @@ class TestOracleAgreement:
             NuQuery(COMP, 6, 1)
         with pytest.raises(ValueError, match="level"):
             NuQuery(COMP, 5, 0)
+
+
+def test_theorem_on_the_whole_small_box():
+    """The predicted nu equals the semigroup oracle's on every binomial in
+    x, y with exponents <= 4, at every p <= 13 and level e with p^e <= 2^8."""
+    vectors = [v for v in product(range(5), repeat=2) if any(v)]
+    levels = [(p, e) for p in (2, 3, 5, 7, 11, 13) for e in range(1, 9) if p**e <= 2**8]
+    cases = Counter()
+    for a, b in combinations(vectors, 2):
+        if not all(ai or bi for ai, bi in zip(a, b)):
+            continue
+        g = Binomial(("x", "y"), a, b)
+        plan = prepare(g)
+        for p, e in levels:
+            result = plan.at(p)
+            cases[result.case] += 1
+            predicted = scaled_truncation(result.value, p, e)
+            assert predicted == nu_semigroup(NuQuery(g, p, e)), (g, p, e)
+    assert sum(cases.values()) == 5808
+    assert set(cases) == set(FptCase)

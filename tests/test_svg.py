@@ -16,7 +16,6 @@ from conftest import (
     VARIABLE_NAMES,
     random_binomial,
     random_core_matrix,
-    run_optimized,
 )
 
 LEGEND_LINE = re.compile(r'<text x="70" y="\d+" font-size="11" font-family="monospace">(.*)</text>')
@@ -156,13 +155,6 @@ def test_golden_wide_core_figures():
             digest.update(svg.encode())
     assert insets >= 4
     assert digest.hexdigest() == WIDE_FIGURES_DIGEST
-
-
-def test_figures_match_under_python_O():
-    """python -O strips assert statements, so the figure goldens must
-    still give the same bytes in a child run with that flag."""
-    child = run_optimized("tests/test_svg.py", "golden")
-    assert "7 passed" in child.stdout, child.stdout + child.stderr
 
 
 PANEL_PRIMES = (2, 3, 5, 37, 10007, 10**9 + 7)
