@@ -153,7 +153,8 @@ class CarryProfile:
     expansions digit by digit (None when no carry ever occurs).  d is
     the last position at or before L whose digit sum is at most p - 2
     (None when no such position exists).  certificate_depth is the
-    number of positions inspected: L + 1 when a carry occurs, and
+    number of positions inspected: L + 1 when a carry occurs, 0 when
+    either value is 0 (its all-zero expansion never carries), and
     otherwise the combined preperiod plus one full combined period,
     which certifies the carry-free case.
     """
@@ -179,15 +180,16 @@ def carry_profile(alpha: Fraction, beta: Fraction, p: int) -> CarryProfile:
     _check_base(p)
     n1, den1 = alpha.numerator, alpha.denominator
     n2, den2 = beta.numerator, beta.denominator
+    if not n1 or not n2:
+        return CarryProfile(None, None, 0)
     seen: set[tuple[int, int]] = set()
     last_small: int | None = None
     e = 0
     while (n1, n2) not in seen:
         seen.add((n1, n2))
         e += 1
-        # a zero state stands for the all-zero expansion of alpha = 0
-        d1 = (p * n1 - 1) // den1 if n1 else 0
-        d2 = (p * n2 - 1) // den2 if n2 else 0
+        d1 = (p * n1 - 1) // den1
+        d2 = (p * n2 - 1) // den2
         if d1 + d2 >= p:
             return CarryProfile(e - 1, last_small, e)
         if d1 + d2 <= p - 2:

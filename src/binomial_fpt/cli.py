@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from . import jsonio
 from .base_p import render_positional
 from .engine import FptResult, fpt, fpt_limit, prepare
 from .oracle import BudgetExceeded, NuQuery, nu_monomial, nu_naive, nu_semigroup, verify
-from .parsing import ParseError, binomial_to_text, monomial_to_text, parse, parse_monomial
+from .parsing import binomial_to_text, monomial_to_text, parse, parse_monomial
 from .polytope import build, maximal_point, vertices
 from .primes import is_prime, primes_between
 from .svg import polytope_figure
@@ -38,6 +39,11 @@ class _CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        # no option starts with -<digit>: such a word is a value, e.g. "-2*x^2+y^3"
+        self._negative_number_matcher = re.compile(r"-\d")
+
     def error(self, message):  # noqa: D102 - argparse hook
         raise _CliError(message)
 
@@ -47,6 +53,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="threshold of one binomial at one prime")
+    p_compute.set_defaults(run=_cmd_compute)
     p_compute.add_argument("poly")
     p_compute.add_argument("--prime", type=int, required=True)
     p_compute.add_argument("--json", action="store_true")
@@ -58,6 +65,7 @@ def _build_parser() -> _Parser:
     )
 
     p_scan = sub.add_parser("scan", help="threshold across a range of primes")
+    p_scan.set_defaults(run=_cmd_scan)
     p_scan.add_argument("poly")
     p_scan.add_argument("--primes", required=True, metavar="LO..HI")
     p_scan.add_argument("--mod", type=int)
@@ -65,6 +73,7 @@ def _build_parser() -> _Parser:
     p_scan.add_argument("--json", action="store_true")
 
     p_poly = sub.add_parser("polytope", help="splitting polytope data or figure")
+    p_poly.set_defaults(run=_cmd_polytope)
     p_poly.add_argument("poly")
     p_poly.add_argument("--svg", metavar="PATH")
     p_poly.add_argument("--prime", type=int)
@@ -72,6 +81,7 @@ def _build_parser() -> _Parser:
     p_poly.add_argument("--json", action="store_true")
 
     p_oracle = sub.add_parser("oracle", help="brute-force nu computation")
+    p_oracle.set_defaults(run=_cmd_oracle)
     p_oracle.add_argument("poly")
     p_oracle.add_argument("--prime", type=int, required=True)
     p_oracle.add_argument("--level", type=int, required=True)
@@ -215,25 +225,13 @@ def _cmd_oracle(args) -> int:
     return EXIT_MISMATCH if data["match"] is False else EXIT_OK
 
 
-_COMMANDS = {
-    "compute": _cmd_compute,
-    "scan": _cmd_scan,
-    "polytope": _cmd_polytope,
-    "oracle": _cmd_oracle,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except (_CliError, ParseError, ValueError, OSError) as exc:
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
+    except (_CliError, ValueError, OSError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return EXIT_BUDGET if isinstance(exc, BudgetExceeded) else EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

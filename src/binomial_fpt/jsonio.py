@@ -116,6 +116,12 @@ def _closed(**properties: dict) -> dict:
     }
 
 
+def _pair(items: dict, nullable: bool = False) -> dict:
+    """An array schema of exactly two items, null allowed when nullable."""
+    kind = ["array", "null"] if nullable else "array"
+    return {"type": kind, "items": items, "minItems": 2, "maxItems": 2}
+
+
 _RATIONAL = _closed(num={"type": "integer"}, den={"type": "integer", "minimum": 1})
 
 _DIGITS = {"type": "array", "items": {"type": "integer", "minimum": 0}}
@@ -135,12 +141,7 @@ COMPUTE_SCHEMA = _closed(
     case={"enum": [c.value for c in FptCase]},
     value=_RATIONAL,
     value_base_p=_closed(preperiod=_DIGITS, period=_DIGITS),
-    eta={
-        "type": ["array", "null"],
-        "items": _RATIONAL,
-        "minItems": 2,
-        "maxItems": 2,
-    },
+    eta=_pair(_RATIONAL, nullable=True),
     eta_sum=_NULLABLE_RATIONAL,
     L={"oneOf": [{"type": "integer", "minimum": 0}, {"enum": ["inf", None]}]},
     d={"type": ["integer", "null"], "minimum": 1},
@@ -153,12 +154,7 @@ COMPUTE_SCHEMA["properties"]["verification"] = VERIFICATION_SCHEMA
 
 SCAN_SCHEMA = _closed(
     input={"type": "string"},
-    prime_range={
-        "type": "array",
-        "items": {"type": "integer"},
-        "minItems": 2,
-        "maxItems": 2,
-    },
+    prime_range=_pair({"type": "integer"}),
     filter={
         **_closed(mod={"type": "integer"}, residue={"type": "integer"}),
         "type": ["object", "null"],
@@ -183,30 +179,8 @@ ORACLE_SCHEMA = _closed(
 )
 
 POLYTOPE_SCHEMA = _closed(
-    rows={
-        "type": "array",
-        "items": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 0},
-            "minItems": 2,
-            "maxItems": 2,
-        },
-        "minItems": 1,
-    },
-    vertices={
-        "type": "array",
-        "items": {
-            "type": "array",
-            "items": {"type": "string"},
-            "minItems": 2,
-            "maxItems": 2,
-        },
-    },
-    maximal_point={
-        "type": ["array", "null"],
-        "items": {"type": "string"},
-        "minItems": 2,
-        "maxItems": 2,
-    },
+    rows={"type": "array", "items": _pair({"type": "integer", "minimum": 0}), "minItems": 1},
+    vertices={"type": "array", "items": _pair({"type": "string"})},
+    maximal_point=_pair({"type": "string"}, nullable=True),
     eta_sum={"type": ["string", "null"]},
 )

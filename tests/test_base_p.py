@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from binomial_fpt import (
+    CarryProfile,
     DigitExpansion,
     adds_without_carrying,
     carry_profile,
@@ -212,6 +213,15 @@ class TestCarryProfile:
     def test_mixed_periods_base_five(self):
         profile = carry_profile(Fraction(19, 62), Fraction(37, 124), 5)
         assert (profile.L, profile.d) == (2, 1)
+
+    @pytest.mark.parametrize("zero_first", [False, True])
+    def test_zero_coordinate_is_carry_free_at_once(self, zero_first):
+        # the all-zero expansion of 0 never carries, so the period of
+        # 1/(10^9 + 7), up to 10^9 + 6 digits long, is never walked
+        pair = (Fraction(1, 10**9 + 7), Fraction(0))
+        alpha, beta = pair[::-1] if zero_first else pair
+        for p in (2, 3, 5, 7):
+            assert carry_profile(alpha, beta, p) == CarryProfile(None, None, 0)
 
     def test_finite_profile_matches_digit_sums(self):
         rng = Random(109)

@@ -466,6 +466,55 @@ class TestArgumentErrors:
         assert "at least 1" in err
 
 
+class TestSignedLeadingCoefficient:
+    """A polynomial word starting with -<digit> is the polynomial, as
+    its spaced twin is; no option starts that way."""
+
+    @pytest.mark.parametrize(
+        "unspaced, spaced, flags",
+        [
+            ("-2*x^2+y^3", "-2*x^2 + y^3", ("compute", "--prime", "7")),
+            ("-2*x^2+y^3", "-2*x^2 + y^3", ("compute", "--prime", "7", "--json")),
+            ("-1*x", "-1 * x", ("oracle", "--prime", "3", "--level", "1")),
+            ("-1*x", "-1 * x", ("oracle", "--prime", "3", "--level", "1", "--json")),
+            ("-3*x*y+y^5", "-3*x*y + y^5", ("scan", "--primes", "2..30")),
+            ("-3*x*y+y^5", "-3*x*y + y^5", ("polytope",)),
+        ],
+    )
+    def test_prints_what_the_spaced_twin_prints(self, capsys, unspaced, spaced, flags):
+        command, *rest = flags
+        twin = run(capsys, command, spaced, *rest)
+        assert twin[0] == EXIT_OK
+        assert run(capsys, command, unspaced, *rest) == twin
+
+    def test_unknown_option_still_rejected(self, capsys):
+        code, _, err = run(capsys, "compute", "-2*x^2+y^3", "--prime", "7", "--bogus")
+        assert code == EXIT_BAD_INPUT
+        assert "unrecognized arguments: --bogus" in err
+
+    def test_negative_low_end_of_a_prime_window(self, capsys):
+        # "-5..10" is read as the window's value: it holds the primes 2..10
+        assert run(capsys, "scan", COMP, "--primes", "-5..10") == run(
+            capsys, "scan", COMP, "--primes", "2..10"
+        )
+
+
+def test_calls_share_no_state(capsys):
+    """Each main call builds its own parser and namespace, so a flag or a
+    handler of one call never reaches the next."""
+    verified = ("compute", COMP, "--prime", "43", "--verify", "1", "--json")
+    plain = ("compute", COMP, "--prime", "43")
+    scan = ("scan", COMP, "--primes", "2..50")
+    first, second = run(capsys, *verified), run(capsys, *plain)
+    assert first[0] == second[0] == EXIT_OK
+    assert "verification" in json.loads(first[1])
+    assert second[1].startswith("fpt = 8/43\n") and "verify" not in second[1]
+    assert run(capsys, *scan)[0] == EXIT_OK
+    assert run(capsys, *verified) == first
+    assert run(capsys, *scan)[0] == EXIT_OK
+    assert run(capsys, *plain) == second
+
+
 def test_readme_examples(capsys, monkeypatch, tmp_path):
     """Each `$ binomial-fpt ...` example in README's "Examples:" block
     exits 0 and prints the output shown under it; run from tmp_path, so

@@ -169,6 +169,17 @@ class TestPlan:
             for p in (2, 3, 5, 7, 11):
                 assert plan.at(p) == fpt(g, p)
 
+    def test_maximal_point_on_an_axis_is_carry_free_at_once(self):
+        # x^N + x^(N+1)*y has eta = (1/N, 0): its zero coordinate never
+        # carries, so no prime walks the period of 1/N
+        n = 10**9 + 7
+        plan = prepare(Binomial(("x", "y"), (n, 0), (n + 1, 1)))
+        for p in (2, 3, 5, 7, 10007):
+            start = time.perf_counter()
+            result = plan.at(p)
+            assert time.perf_counter() - start < 0.5
+            assert (result.case, result.value) == (FptCase.CARRY_FREE, Fraction(1, n))
+
     def test_composite_prime_rejected(self):
         with pytest.raises(ValueError, match="p must be prime"):
             prepare(COMP).at(4)
