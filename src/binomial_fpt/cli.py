@@ -2,13 +2,15 @@
 
 Subcommands: compute, scan, polytope, oracle.  Exit codes: 0 success,
 1 bad input (polynomial or flags), 2 verification mismatch, 3 oracle
-budget exceeded.
+budget exceeded, 141 standard output closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -26,12 +28,16 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_MISMATCH = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
 
 # p^-1000 is far below the figure's 12 significant digits at any prime
 FIGURE_LEVEL_MAX = 1000
 # scan keeps one byte per number and one row per prime: 2..10^6 takes
 # 3.7 s and 99 MB, 2..10^7 takes 32 s and 709 MB
 SCAN_WIDTH_MAX = 10**7
+# compute prints fpt's whole base-p period, shorter than its denominator
+# without factors p: 1/999983 at p = 1000003 prints 999 982 digits (0.95 s, 170 MB)
+PERIOD_MAX = 10**6
 
 
 class _CliError(Exception):
@@ -116,6 +122,14 @@ def _cmd_compute(args) -> int:
     _require_prime(args.prime)
     g = parse(args.poly, args.prime)
     result = fpt(g, args.prime)
+    rest = result.value.denominator
+    while rest % args.prime == 0:
+        rest //= args.prime
+    if rest > PERIOD_MAX:
+        raise _CliError(
+            f"fpt = {result.value} is not printed: its base-{args.prime} period "
+            f"may exceed {PERIOD_MAX} digits"
+        )
     limit = fpt_limit(g)
     report = None
     if args.verify is not None:
@@ -229,6 +243,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.run(args)
+    except BrokenPipeError:
+        # the reader is gone: nothing to report, and the exit flush writes to devnull
+        with contextlib.suppress(AttributeError, OSError), open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (_CliError, ValueError, OSError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET if isinstance(exc, BudgetExceeded) else EXIT_BAD_INPUT

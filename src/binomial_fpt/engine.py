@@ -18,7 +18,7 @@ point eta of its splitting polytope:
     reaches its cap tail(|eta|, p, L).
 
 The threshold of the product is the minimum of the two parts.  Only
-the digits of eta depend on p, so prepare(g) derives the factorization,
+the digits of eta depend on p, so prepare(g) splits g and derives
 the geometry and the limit once and Plan.at(p) does the rest.  That
 carry step runs on integers: eta is read as (n1, n2, D), its
 coordinates over their least common denominator D.  The step checks
@@ -68,16 +68,6 @@ class Binomial:
         return any(self.a) and any(self.b)
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """g = (monomial part) * (core); the core keeps the unequal exponents."""
-
-    monomial_variables: tuple[str, ...]
-    monomial_exponents: tuple[int, ...]
-    core: Binomial
-    core_is_unit: bool
-
-
 class FptCase(Enum):
     MONOMIAL_ONLY = "MONOMIAL_ONLY"
     STANDARD_GT1 = "STANDARD_GT1"
@@ -113,45 +103,6 @@ class FptResult:
     deltas: tuple[Fraction | None, ...] = ()
 
 
-def factor(g: Binomial) -> Factorization:
-    """Split off gcd-like equal exponents into a monomial factor.
-
-    Variables with a_i = b_i move to the monomial part at that power;
-    the rest form the core.  Distinctness of the input monomials
-    guarantees a nonempty core; the core is flagged as a unit when one
-    of its exponent vectors is all zero (the core then has a nonzero
-    constant term and does not vanish at the origin).
-    """
-    mono_vars: list[str] = []
-    mono_exps: list[int] = []
-    core_vars: list[str] = []
-    core_a: list[int] = []
-    core_b: list[int] = []
-    for var, ai, bi in zip(g.variables, g.a, g.b):
-        if ai == bi:
-            mono_vars.append(var)
-            mono_exps.append(ai)
-        else:
-            core_vars.append(var)
-            core_a.append(ai)
-            core_b.append(bi)
-    core = Binomial(
-        tuple(core_vars), tuple(core_a), tuple(core_b), g.coeff1, g.coeff2
-    )
-    unit = not core.vanishes_at_origin()
-    return Factorization(tuple(mono_vars), tuple(mono_exps), core, unit)
-
-
-def monomial_fpt(exponents: tuple[int, ...]) -> Fraction | None:
-    """min(1/e) over positive exponents; None for an empty monomial."""
-    positive = [e for e in exponents if e > 0]
-    if any(e < 0 for e in exponents):
-        raise ValueError("exponents must be nonnegative")
-    if not positive:
-        return None
-    return Fraction(1, max(positive))
-
-
 def carry_step(matrix: SplittingMatrix, mp: MaximalPoint, p: int) -> FptResult:
     """Threshold read off the maximal point mp of the polytope of matrix.
 
@@ -179,10 +130,10 @@ def carry_step(matrix: SplittingMatrix, mp: MaximalPoint, p: int) -> FptResult:
         raise RuntimeError("no digit position with sum <= p - 2 before the carry")
     if not 1 <= d <= L:
         raise RuntimeError(f"carry profile out of range: L={L}, d={d}")
-    # p^k <eta>_k is ceil(n p^k / D) - 1, and 0 for a zero coordinate
+    # p^k <eta>_k is ceil(n p^k / D) - 1
     q = p**d
-    t1 = (n1 * q - 1) // den if n1 else 0
-    t2 = (n2 * q - 1) // den if n2 else 0
+    t1 = (n1 * q - 1) // den
+    t2 = (n2 * q - 1) // den
     s = ((n1 + n2) * p**L - 1) // den
     if (t1 + t2 + 1) * p ** (L - d) != s:
         raise RuntimeError("digit-carry identity violated")
@@ -252,14 +203,22 @@ class Plan:
 
 
 def prepare(g: Binomial) -> Plan:
-    """Factor g and derive its core's geometry, once for every prime."""
-    parts = factor(g)
-    mono = monomial_fpt(parts.monomial_exponents)
-    if parts.core_is_unit:
+    """Split g into monomial part and core, and derive the core's geometry.
+
+    The variables with a_i = b_i form the monomial part, whose threshold
+    is 1/max a_i (each such a_i is at least 1: build rejects a (0, 0)
+    row); the others are the core's rows.  The core is a unit, with a
+    nonzero constant term, unless both of its columns are nonzero.
+    """
+    shared = [ai for ai, bi in zip(g.a, g.b) if ai == bi]
+    mono = Fraction(1, max(shared)) if shared else None
+    # nonempty: g's two monomials are distinct
+    core_a, core_b = zip(*((ai, bi) for ai, bi in zip(g.a, g.b) if ai != bi))
+    if not (any(core_a) and any(core_b)):
         if mono is None:
             raise ValueError("input does not vanish at the origin")
         return Plan(mono, None, mono)
-    matrix = build(parts.core.a, parts.core.b)
+    matrix = build(core_a, core_b)
     mp = maximal_point(matrix)
     if mp is None:
         raise RuntimeError("constant row reached core")

@@ -27,7 +27,6 @@ from binomial_fpt import (
     contains_lower_interior,
     digit,
     expand,
-    factor,
     fpt,
     fpt_limit,
     fpt_truncation,
@@ -35,6 +34,7 @@ from binomial_fpt import (
     multinomial_nonzero,
     nu_naive,
     nu_semigroup,
+    prepare,
     render_positional,
     scaled_truncation,
     segment_meets_lower_interior,
@@ -371,8 +371,7 @@ def _suite_epsilon_law(epsilon_cases) -> int:
     for g, p, result in epsilon_cases:
         cap = tail(result.eta_sum, p, result.L)
         assert 0 < result.epsilon <= cap
-        core = factor(g).core
-        matrix = build(core.a, core.b)
+        matrix = prepare(g).core[0]
         lattice = _lattice_condition(matrix, result.eta, p, result.d)
         assert (result.epsilon == cap) == lattice
     return len(epsilon_cases)

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import shlex
+import sys
 import time
 from pathlib import Path
 
@@ -10,7 +12,15 @@ import jsonschema
 import pytest
 
 from binomial_fpt import FptCase, jsonio
-from binomial_fpt.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_MISMATCH, EXIT_OK, main
+from binomial_fpt.cli import (
+    EXIT_BAD_INPUT,
+    EXIT_BROKEN_PIPE,
+    EXIT_BUDGET,
+    EXIT_MISMATCH,
+    EXIT_OK,
+    PERIOD_MAX,
+    main,
+)
 from binomial_fpt.oracle import VerificationReport
 
 COMP = "x^7*y^2+x^5*y^6"
@@ -121,6 +131,67 @@ class TestCompute:
     def test_missing_flag(self, capsys):
         code, _, err = run(capsys, "compute", COMP)
         assert code == EXIT_BAD_INPUT
+
+    def test_one_compute_builds_three_matrices(self, capsys, monkeypatch):
+        """parse checks g's rows once, and fpt and fpt_limit each build
+        the core's matrix once; no core Binomial is built on the way."""
+        import binomial_fpt.engine as engine
+
+        calls = []
+        build = engine.build
+        monkeypatch.setattr(engine, "build", lambda a, b: calls.append(a) or build(a, b))
+        code, out, _ = run(capsys, "compute", "x^7*y^2*z^3 + x^5*y^6*z^3", "--prime", "37")
+        assert code == EXIT_OK
+        assert "case: MIN_COMBINED\n" in out and "monomial part: 1/3\n" in out
+        assert calls == [(7, 2, 3), (7, 2), (7, 2)]
+
+    @pytest.mark.parametrize("output", [[], ["--json"], ["--verify", "1"]])
+    def test_long_period_fails_before_any_digit(self, capsys, monkeypatch, output):
+        # fpt = 1/(10^9 + 7): its base-3 period has up to 10^9 + 6 digits
+        import binomial_fpt.cli as cli
+
+        monkeypatch.setattr(cli, "verify", lambda *args: pytest.fail("the oracle ran"))
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "compute", "x^1000000007 + x^1000000008*y", "--prime", "3", *output
+        )
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err == (
+            "error: fpt = 1/1000000007 is not printed: its base-3 period "
+            f"may exceed {PERIOD_MAX} digits\n"
+        )
+
+    @pytest.mark.parametrize(
+        "n, code", [(PERIOD_MAX, EXIT_OK), (PERIOD_MAX + 1, EXIT_BAD_INPUT), (3**13, EXIT_OK)]
+    )
+    def test_period_bound_ignores_factors_p(self, capsys, n, code):
+        """Only the denominator's part prime to p bounds the period: 1/3^13
+        terminates in base 3 and prints although 3^13 > PERIOD_MAX."""
+        poly = f"x^{n} + x^{n + 1}*y"
+        assert run(capsys, "compute", poly, "--prime", "3", "--json")[0] == code
+
+    def test_closed_stdout_is_not_bad_input(self, capsys, monkeypatch):
+        class ClosedStdout:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedStdout())
+        code = main(["compute", COMP, "--prime", "37", "--json"])
+        assert code == EXIT_BROKEN_PIPE == 141
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_leaves_a_quiet_exit_flush(self, capsys, monkeypatch):
+        """With a descriptor, stdout is pointed at devnull, so flushing
+        what is left in its buffer raises nothing."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", buffering=1) as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["compute", COMP, "--prime", "37"]) == EXIT_BROKEN_PIPE
+            stdout.write("left in the buffer")
+            monkeypatch.undo()
+        assert capsys.readouterr().err == ""
 
 
 class TestScan:

@@ -18,11 +18,9 @@ from binomial_fpt import (
     build,
     carry_profile,
     contains_lower_interior,
-    factor,
     fpt,
     fpt_limit,
     fpt_truncation,
-    monomial_fpt,
     nu_naive,
     nu_semigroup,
     prepare,
@@ -57,34 +55,39 @@ class TestBinomialChecks:
 
 
 class TestFactor:
+    """prepare splits g: equal exponents leave for the monomial part."""
+
     def test_shared_variable_factored(self):
-        g = Binomial(("x", "y", "z"), (3, 0, 4), (0, 3, 4))
-        parts = factor(g)
-        assert parts.monomial_variables == ("z",)
-        assert parts.monomial_exponents == (4,)
-        assert parts.core.a == (3, 0)
-        assert parts.core.b == (0, 3)
-        assert not parts.core_is_unit
+        plan = prepare(Binomial(("x", "y", "z"), (3, 0, 4), (0, 3, 4)))
+        assert plan.monomial_fpt == Fraction(1, 4)
+        matrix, mp = plan.core
+        assert matrix == build((3, 0), (0, 3))
+        assert mp.sum == Fraction(2, 3)
+        assert plan.limit == Fraction(1, 4)
 
     def test_nothing_shared(self):
-        parts = factor(COMP)
-        assert parts.monomial_exponents == ()
-        assert parts.core == COMP
+        plan = prepare(COMP)
+        assert plan.monomial_fpt is None
+        assert plan.core[0] == build(COMP.a, COMP.b)
 
     def test_unit_core(self):
-        g = Binomial(("x", "y"), (2, 0), (2, 1))
-        parts = factor(g)
-        assert parts.monomial_variables == ("x",)
-        assert parts.monomial_exponents == (2,)
-        assert parts.core_is_unit
+        plan = prepare(Binomial(("x", "y"), (2, 0), (2, 1)))
+        assert plan.monomial_fpt == Fraction(1, 2)
+        assert plan.core is None
+        assert plan.limit == Fraction(1, 2)
 
 
 class TestMonomialFpt:
     def test_examples(self):
-        assert monomial_fpt((3, 5)) == Fraction(1, 5)
-        assert monomial_fpt((1,)) == Fraction(1)
-        assert monomial_fpt(()) is None
-        assert monomial_fpt((0, 0)) is None
+        """The monomial part's threshold is 1/(largest shared exponent)."""
+        cases = [
+            (Binomial(("x", "y", "z"), (3, 5, 1), (3, 5, 0)), Fraction(1, 5)),
+            (Binomial(("x", "y", "z"), (1, 1, 0), (1, 0, 1)), Fraction(1)),
+            (Binomial(("x", "y", "z"), (2, 1, 0), (2, 0, 1)), Fraction(1, 2)),
+            (COMP, None),
+        ]
+        for g, expected in cases:
+            assert prepare(g).monomial_fpt == expected
 
 
 class TestCoreCases:
