@@ -17,9 +17,9 @@ from fractions import Fraction
 
 from . import jsonio
 from .base_p import render_positional
-from .engine import FptResult, fpt, fpt_limit, prepare
+from .engine import Binomial, FptResult, fpt, fpt_limit, prepare
 from .oracle import BudgetExceeded, NuQuery, nu_monomial, nu_naive, nu_semigroup, verify
-from .parsing import binomial_to_text, monomial_to_text, parse, parse_monomial
+from .parsing import binomial_to_text, parse, parse_monomial
 from .polytope import build, maximal_point, vertices
 from .primes import is_prime, primes_between
 from .svg import polytope_figure
@@ -40,10 +40,6 @@ SCAN_WIDTH_MAX = 10**7
 PERIOD_MAX = 10**6
 
 
-class _CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
@@ -51,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\d")
 
     def error(self, message):  # noqa: D102 - argparse hook
-        raise _CliError(message)
+        raise ValueError(message)
 
 
 def _build_parser() -> _Parser:
@@ -100,7 +96,15 @@ def _build_parser() -> _Parser:
 
 def _require_prime(p: int) -> None:
     if not is_prime(p):
-        raise _CliError(f"{p} is not prime")
+        raise ValueError(f"{p} is not prime")
+
+
+def _require_coefficients(g: Binomial, primes: list[int]) -> None:
+    """parse's coefficient rule at each of primes, for a g parsed without a prime."""
+    product = (g.coeff1 or 1) * (g.coeff2 or 1)
+    bad = next((p for p in primes if product % p == 0), None)
+    if bad is not None:
+        raise ValueError(f"zero coefficient mod {bad}")
 
 
 def _print_result(p: int, result: FptResult, limit: Fraction) -> None:
@@ -120,22 +124,20 @@ def _print_result(p: int, result: FptResult, limit: Fraction) -> None:
 
 def _cmd_compute(args) -> int:
     _require_prime(args.prime)
+    if args.verify is not None and args.verify < 1:
+        raise ValueError("--verify level must be at least 1")
     g = parse(args.poly, args.prime)
     result = fpt(g, args.prime)
     rest = result.value.denominator
     while rest % args.prime == 0:
         rest //= args.prime
     if rest > PERIOD_MAX:
-        raise _CliError(
+        raise ValueError(
             f"fpt = {result.value} is not printed: its base-{args.prime} period "
             f"may exceed {PERIOD_MAX} digits"
         )
     limit = fpt_limit(g)
-    report = None
-    if args.verify is not None:
-        if args.verify < 1:
-            raise _CliError("--verify level must be at least 1")
-        report = verify(NuQuery(g, args.prime, args.verify), result)
+    report = None if args.verify is None else verify(NuQuery(g, args.prime, args.verify), result)
     if args.json:
         print(json.dumps(jsonio.result_to_json(g, args.prime, result, limit, report)))
     else:
@@ -157,19 +159,20 @@ def _cmd_scan(args) -> int:
         lo_text, hi_text = args.primes.split("..")
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
-        raise _CliError("--primes expects LO..HI") from None
+        raise ValueError("--primes expects LO..HI") from None
     if (args.mod is None) != (args.residue is None):
-        raise _CliError("--mod and --residue go together")
+        raise ValueError("--mod and --residue go together")
     if args.mod is not None and args.mod < 1:
-        raise _CliError("--mod must be positive")
+        raise ValueError("--mod must be positive")
     g = parse(args.poly)
     if hi - max(lo, 2) + 1 > SCAN_WIDTH_MAX:
-        raise _CliError(f"--primes window must hold at most {SCAN_WIDTH_MAX} numbers")
+        raise ValueError(f"--primes window must hold at most {SCAN_WIDTH_MAX} numbers")
     primes = primes_between(lo, hi)
     if args.mod is not None:
         primes = [p for p in primes if p % args.mod == args.residue % args.mod]
     if not primes:
-        raise _CliError("empty prime range")
+        raise ValueError("empty prime range")
+    _require_coefficients(g, primes)
     plan = prepare(g)
     rows = [(p, plan.at(p)) for p in primes]
     congruence = None if args.mod is None else (args.mod, args.residue)
@@ -189,14 +192,15 @@ def _cmd_scan(args) -> int:
 
 def _cmd_polytope(args) -> int:
     if args.level is not None and args.prime is None:
-        raise _CliError("--level needs --prime")
+        raise ValueError("--level needs --prime")
     if args.level is not None and args.level < 0:
-        raise _CliError("--level must be at least 0")
+        raise ValueError("--level must be at least 0")
     if args.level is not None and args.level > FIGURE_LEVEL_MAX:
-        raise _CliError(f"--level must be at most {FIGURE_LEVEL_MAX}")
+        raise ValueError(f"--level must be at most {FIGURE_LEVEL_MAX}")
     g = parse(args.poly)
     if args.prime is not None:
         _require_prime(args.prime)
+        _require_coefficients(g, [args.prime])
     if args.svg:
         figure = polytope_figure(g, args.prime, args.level)
         with open(args.svg, "w", encoding="utf-8") as handle:
@@ -212,10 +216,9 @@ def _cmd_polytope(args) -> int:
 def _cmd_oracle(args) -> int:
     _require_prime(args.prime)
     if args.level < 1:
-        raise _CliError("--level must be at least 1")
+        raise ValueError("--level must be at least 1")
     if len([t for t in args.poly.split("+") if t.strip()]) == 1:
-        _, exponents = parse_monomial(args.poly, args.prime)
-        text = monomial_to_text(args.poly, args.prime)
+        text, exponents = parse_monomial(args.poly, args.prime)
         nu = nu_monomial(exponents, args.prime, args.level)
         methods = {"semigroup": lambda: nu, "naive": lambda: nu}
     else:
@@ -248,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
         with contextlib.suppress(AttributeError, OSError), open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (_CliError, ValueError, OSError, BudgetExceeded) as exc:
+    except (ValueError, OSError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET if isinstance(exc, BudgetExceeded) else EXIT_BAD_INPUT
 

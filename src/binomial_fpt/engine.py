@@ -20,10 +20,11 @@ point eta of its splitting polytope:
 The threshold of the product is the minimum of the two parts.  Only
 the digits of eta depend on p, so prepare(g) splits g and derives
 the geometry and the limit once and Plan.at(p) does the rest.  That
-carry step runs on integers: eta is read as (n1, n2, D), its
-coordinates over their least common denominator D.  The step checks
-the digit-carry identity and the epsilon bounds it relies on, so a
-violated expectation raises RuntimeError instead of a wrong value.
+carry step runs on integers: eta1, eta2 and |eta| are each read as
+their own reduced fraction, so a truncation is one integer division.
+The step checks the digit-carry identity and the epsilon bounds it
+relies on, so a violated expectation raises RuntimeError instead of a
+wrong value.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 
 from .base_p import carry_profile, tail, truncate
 from .polytope import MaximalPoint, Point2, SplittingMatrix, build, maximal_point
@@ -112,10 +112,7 @@ def carry_step(matrix: SplittingMatrix, mp: MaximalPoint, p: int) -> FptResult:
     so it builds Fractions only for the fields it records.
     """
     eta, eta_sum = mp.point, mp.sum
-    den = lcm(eta.s1.denominator, eta.s2.denominator)
-    n1 = eta.s1.numerator * (den // eta.s1.denominator)
-    n2 = eta.s2.numerator * (den // eta.s2.denominator)
-    if n1 + n2 > den:
+    if eta_sum > 1:
         return FptResult(
             ONE, FptCase.STANDARD_GT1, eta=eta, eta_sum=eta_sum, core_fpt=ONE
         )
@@ -130,11 +127,12 @@ def carry_step(matrix: SplittingMatrix, mp: MaximalPoint, p: int) -> FptResult:
         raise RuntimeError("no digit position with sum <= p - 2 before the carry")
     if not 1 <= d <= L:
         raise RuntimeError(f"carry profile out of range: L={L}, d={d}")
-    # p^k <eta>_k is ceil(n p^k / D) - 1
+    # p^k <n/den>_k is ceil(n p^k / den) - 1, as in base_p.scaled_truncation
+    (n1, den1), (n2, den2) = eta.s1.as_integer_ratio(), eta.s2.as_integer_ratio()
     q = p**d
-    t1 = (n1 * q - 1) // den
-    t2 = (n2 * q - 1) // den
-    s = ((n1 + n2) * p**L - 1) // den
+    t1 = (n1 * q - 1) // den1
+    t2 = (n2 * q - 1) // den2
+    s = (eta_sum.numerator * p**L - 1) // eta_sum.denominator
     if (t1 + t2 + 1) * p ** (L - d) != s:
         raise RuntimeError("digit-carry identity violated")
     # Only rays whose own base candidate lies in the lower interior
@@ -161,9 +159,7 @@ def carry_step(matrix: SplittingMatrix, mp: MaximalPoint, p: int) -> FptResult:
         sum_tail = tail(eta_sum, p, L)
         if not 0 < epsilon <= sum_tail:
             raise RuntimeError("epsilon outside its proven bounds")
-        on_lattice = (right is not None and n1 * q % den == 0) or (
-            up is not None and n2 * q % den == 0
-        )
+        on_lattice = (right is not None and q % den1 == 0) or (up is not None and q % den2 == 0)
         if (epsilon == sum_tail) != on_lattice:
             raise RuntimeError("epsilon equality criterion violated")
         value, case = value + epsilon, FptCase.TRUNCATED_PLUS_EPSILON
@@ -210,13 +206,13 @@ def prepare(g: Binomial) -> Plan:
     row); the others are the core's rows.  The core is a unit, with a
     nonzero constant term, unless both of its columns are nonzero.
     """
+    if not g.vanishes_at_origin():
+        raise ValueError("input does not vanish at the origin")
     shared = [ai for ai, bi in zip(g.a, g.b) if ai == bi]
     mono = Fraction(1, max(shared)) if shared else None
     # nonempty: g's two monomials are distinct
     core_a, core_b = zip(*((ai, bi) for ai, bi in zip(g.a, g.b) if ai != bi))
     if not (any(core_a) and any(core_b)):
-        if mono is None:
-            raise ValueError("input does not vanish at the origin")
         return Plan(mono, None, mono)
     matrix = build(core_a, core_b)
     mp = maximal_point(matrix)

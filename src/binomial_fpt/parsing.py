@@ -88,20 +88,17 @@ def parse(text: str, prime: int | None = None) -> Binomial:
     return Binomial(tuple(variables), a, b, _reduce(c1, prime), _reduce(c2, prime))
 
 
-def parse_monomial(
-    text: str, prime: int | None = None
-) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """Parse a single nonconstant monomial; with a prime, its coefficient
-    must not vanish mod p, as in parse.
+def parse_monomial(text: str, prime: int | None = None) -> tuple[str, tuple[int, ...]]:
+    """Parse a single nonconstant monomial into its canonical text, by the
+    term and coefficient rules of parse, and its exponents.
 
     Degenerate input for the brute-force oracles, which also answer
     nu queries for one-term polynomials; the threshold pipeline proper
     accepts only binomials.
     """
     coeff, exponents = _parse_term(text.strip(), 1)
-    _reduce(coeff, prime)
-    variables = tuple(exponents)
-    return variables, tuple(exponents[v] for v in variables)
+    exps = tuple(exponents.values())
+    return _term_text(_reduce(coeff, prime), tuple(exponents), exps), exps
 
 
 def _term_text(coeff: int | None, variables: tuple[str, ...], exps: tuple[int, ...]) -> str:
@@ -121,9 +118,3 @@ def binomial_to_text(g: Binomial) -> str:
     first = _term_text(g.coeff1, g.variables, g.a)
     second = _term_text(g.coeff2, g.variables, g.b)
     return f"{first} + {second}"
-
-
-def monomial_to_text(text: str, prime: int | None = None) -> str:
-    """Canonical form of monomial text, by the term and coefficient rules of binomials."""
-    coeff, exponents = _parse_term(text.strip(), 1)
-    return _term_text(_reduce(coeff, prime), tuple(exponents), tuple(exponents.values()))

@@ -15,6 +15,7 @@ from binomial_fpt import (
     expand,
     multinomial_nonzero,
     render_positional,
+    scaled_truncation,
     tail,
     truncate,
 )
@@ -74,6 +75,22 @@ class TestDigit:
             digit(Fraction(3, 2), 5, 1)
         with pytest.raises(ValueError):
             digit(Fraction(-1, 2), 5, 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: scaled_truncation(Fraction(1, 3), 5, -1), "negative truncation level"),
+        (lambda: digit(Fraction(1, 3), 5, 0), "digit positions start at 1"),
+        (lambda: adds_without_carrying(-1, 2, 5), "expected nonnegative integers"),
+        (lambda: adds_without_carrying(2, -1, 5), "expected nonnegative integers"),
+    ],
+    ids=["negative-level", "digit-position-0", "negative-k1", "negative-k2"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message) as raised:
+        call()
+    assert type(raised.value) is ValueError
 
 
 class TestExpand:

@@ -537,6 +537,56 @@ class TestArgumentErrors:
         assert "at least 1" in err
 
 
+class TestInputRules:
+    """Each subcommand checks its flags and applies the coefficient rule
+    at every prime it will use before it prints or writes anything."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("oracle", COMP, "--prime", "3", "--level", "0"), "--level must be at least 1"),
+            (("scan", "2*x^2 + 3*y^3", "--primes", "2..7"), "zero coefficient mod 2"),
+            (("scan", "2*x^2 + 3*y^3", "--primes", "3..7", "--json"), "zero coefficient mod 3"),
+            (
+                ("scan", "2*x^2 + 3*y^3", "--primes", "2..30", "--mod", "4", "--residue", "3"),
+                "zero coefficient mod 3",
+            ),
+            (("scan", "-3*x*y+y^5", "--primes", "2..30"), "zero coefficient mod 3"),
+            (("polytope", "2*x^2 + 3*y^3", "--prime", "2"), "zero coefficient mod 2"),
+            (("polytope", "2*x^2 + 3*y^3", "--prime", "3", "--json"), "zero coefficient mod 3"),
+            (
+                ("compute", "x^1000000007 + x^1000000008*y", "--prime", "3", "--verify", "0"),
+                "--verify level must be at least 1",
+            ),
+        ],
+        ids=[
+            "oracle-level-0", "scan-2", "scan-json-3", "scan-congruence-3", "scan-signed-3",
+            "polytope-2", "polytope-json-3", "compute-verify-0-before-the-period",
+        ],
+    )
+    def test_bad_input_prints_one_error_line(self, capsys, argv, message):
+        assert run(capsys, *argv) == (EXIT_BAD_INPUT, "", f"error: {message}\n")
+
+    def test_polytope_writes_no_figure(self, capsys, tmp_path):
+        path = tmp_path / "f.svg"
+        argv = ("polytope", "2*x^2 + 3*y^3", "--prime", "2", "--svg", str(path))
+        assert run(capsys, *argv) == (EXIT_BAD_INPUT, "", "error: zero coefficient mod 2\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("scan", "2*x^2 + 3*y^3", "--primes", "5..7"),
+            ("scan", "2*x^2 + 3*y^3", "--primes", "2..30", "--mod", "4", "--residue", "1"),
+            ("polytope", "2*x^2 + 3*y^3", "--prime", "5"),
+            ("polytope", "2*x^2 + 3*y^3"),
+        ],
+        ids=["scan-above-3", "scan-congruence-above-3", "polytope-5", "polytope-no-prime"],
+    )
+    def test_coefficients_that_survive_are_accepted(self, capsys, argv):
+        assert run(capsys, *argv)[0] == EXIT_OK
+
+
 class TestSignedLeadingCoefficient:
     """A polynomial word starting with -<digit> is the polynomial, as
     its spaced twin is; no option starts that way."""
@@ -548,7 +598,7 @@ class TestSignedLeadingCoefficient:
             ("-2*x^2+y^3", "-2*x^2 + y^3", ("compute", "--prime", "7", "--json")),
             ("-1*x", "-1 * x", ("oracle", "--prime", "3", "--level", "1")),
             ("-1*x", "-1 * x", ("oracle", "--prime", "3", "--level", "1", "--json")),
-            ("-3*x*y+y^5", "-3*x*y + y^5", ("scan", "--primes", "2..30")),
+            ("-3*x*y+y^5", "-3*x*y + y^5", ("scan", "--primes", "5..30")),
             ("-3*x*y+y^5", "-3*x*y + y^5", ("polytope",)),
         ],
     )

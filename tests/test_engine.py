@@ -210,8 +210,8 @@ class TestLargeCore:
 
 
 class TestCarryStepGuards:
-    """Each invariant carry_step checks raises when forced to fail; a
-    raise, unlike an assert, holds under python -O (test_run_mode.py)."""
+    """Each invariant carry_step and prepare check raises when forced to
+    fail; a raise, unlike an assert, holds under python -O (test_run_mode.py)."""
 
     def test_carry_profile_out_of_range(self, monkeypatch):
         monkeypatch.setattr(engine, "carry_profile", lambda a, b, p: CarryProfile(1, 2, 2))
@@ -235,6 +235,18 @@ class TestCarryStepGuards:
         monkeypatch.setattr(engine, "tail", lambda alpha, p, e: Fraction(3, 6845))
         with pytest.raises(RuntimeError, match="equality criterion"):
             fpt(COMP, 37)
+
+    def test_no_small_digit_before_the_carry(self, monkeypatch):
+        monkeypatch.setattr(engine, "carry_profile", lambda a, b, p: CarryProfile(2, None, 3))
+        with pytest.raises(RuntimeError, match="no digit position with sum <= p - 2"):
+            fpt(COMP, 37)
+
+    def test_constant_row_reaching_the_core(self, monkeypatch):
+        # the rows with a = b, the only ones that make the maximal face an
+        # edge, go to the monomial part, so only a forced None gets here
+        monkeypatch.setattr(engine, "maximal_point", lambda matrix: None)
+        with pytest.raises(RuntimeError, match="constant row reached core"):
+            prepare(COMP)
 
 
 class TestTruncationAndLimit:

@@ -166,6 +166,28 @@ class TestNuMonomial:
             nu_monomial((0, 0), 5, 1)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: NuQuery(Binomial(("x",), (1,), (0,)), 3, 1),
+            "input does not vanish at the origin",
+        ),
+        (
+            lambda: nu_naive(NuQuery(Binomial(("x", "y"), (1, 0), (0, 1), coeff1=6), 3, 1)),
+            "zero coefficient mod p",
+        ),
+        (lambda: nu_monomial((1, 2), 4, 1), "p must be prime"),
+        (lambda: nu_monomial((1, 2), 3, 0), "level must be at least 1"),
+    ],
+    ids=["constant-term", "naive-zero-coefficient", "monomial-composite", "monomial-level-0"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message) as raised:
+        call()
+    assert type(raised.value) is ValueError
+
+
 class TestVerify:
     def test_comp_p43(self):
         report = verify(NuQuery(COMP, 43, 1), fpt(COMP, 43))

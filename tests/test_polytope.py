@@ -111,6 +111,34 @@ class TestBuild:
             build((1, 0), (2, 0))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build((1, 2), (3,)), "exponent vectors must have equal positive length"),
+        (lambda: build((), ()), "exponent vectors must have equal positive length"),
+        (
+            lambda: segment_meets_lower_interior(COMP, Fraction(-1), Fraction(0)),
+            "coordinate sum must be nonnegative",
+        ),
+    ],
+    ids=["unequal-lengths", "no-variables", "negative-total"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message) as raised:
+        call()
+    assert type(raised.value) is ValueError
+
+
+def test_lower_interior_edge_inputs():
+    # (-1/100, 0) meets both rows strictly: only its coordinate keeps it out
+    assert not contains_lower_interior(COMP, Point2(Fraction(-1, 100), Fraction(0)))
+    assert not contains_lower_interior(COMP, Point2(Fraction(0), Fraction(-1, 100)))
+    # a row with a = b bounds the coordinate sum alone: 1 * total < 1
+    equal_row = build((1, 2), (1, 3))
+    assert not segment_meets_lower_interior(equal_row, Fraction(1), Fraction(0))
+    assert segment_meets_lower_interior(equal_row, Fraction(1, 4), Fraction(0))
+
+
 class TestMembership:
     def test_eta_on_boundary(self):
         assert contains(COMP, frac_point(1, 32, 5, 32))
