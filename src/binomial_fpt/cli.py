@@ -2,7 +2,9 @@
 
 Subcommands: compute, scan, polytope, oracle.  Exit codes: 0 success,
 1 bad input (polynomial or flags), 2 verification mismatch, 3 oracle
-budget exceeded, 141 standard output closed by its reader.
+budget exceeded, 141 standard output closed by its reader.  Each command
+builds its whole output, which main then writes in one write, so standard
+output stays empty on exits 1 and 3.
 """
 
 from __future__ import annotations
@@ -107,22 +109,22 @@ def _require_coefficients(g: Binomial, primes: list[int]) -> None:
         raise ValueError(f"zero coefficient mod {bad}")
 
 
-def _print_result(p: int, result: FptResult, limit: Fraction) -> None:
-    print(f"fpt = {result.value}")
-    print(f"    = {render_positional(result.value, p)}")
-    print(f"case: {result.case.value}")
+def _result_lines(p: int, result: FptResult, limit: Fraction) -> list[str]:
+    value = result.value
+    lines = [f"fpt = {value}", f"    = {render_positional(value, p)}", f"case: {result.case.value}"]
     if result.eta is not None:
-        print(f"eta = ({result.eta.s1}, {result.eta.s2}), |eta| = {result.eta_sum}")
+        lines.append(f"eta = ({result.eta.s1}, {result.eta.s2}), |eta| = {result.eta_sum}")
     if result.carry_free is not None:
-        print("L = inf" if result.carry_free else f"L = {result.L}, d = {result.d}")
+        lines.append("L = inf" if result.carry_free else f"L = {result.L}, d = {result.d}")
     if result.epsilon is not None:
-        print(f"epsilon = {result.epsilon}")
+        lines.append(f"epsilon = {result.epsilon}")
     if result.monomial_fpt is not None:
-        print(f"monomial part: {result.monomial_fpt}")
-    print(f"characteristic-zero limit (log canonical threshold): {limit}")
+        lines.append(f"monomial part: {result.monomial_fpt}")
+    lines.append(f"characteristic-zero limit (log canonical threshold): {limit}")
+    return lines
 
 
-def _cmd_compute(args) -> int:
+def _cmd_compute(args) -> tuple[int, list[str]]:
     _require_prime(args.prime)
     if args.verify is not None and args.verify < 1:
         raise ValueError("--verify level must be at least 1")
@@ -139,22 +141,20 @@ def _cmd_compute(args) -> int:
     limit = fpt_limit(g)
     report = None if args.verify is None else verify(NuQuery(g, args.prime, args.verify), result)
     if args.json:
-        print(json.dumps(jsonio.result_to_json(g, args.prime, result, limit, report)))
+        lines = [json.dumps(jsonio.result_to_json(g, args.prime, result, limit, report))]
     else:
-        _print_result(args.prime, result, limit)
+        lines = _result_lines(args.prime, result, limit)
         if report is not None:
             naive = "skipped" if report.naive_nu is None else str(report.naive_nu)
-            print(
+            lines.append(
                 f"verify e={args.verify}: predicted nu = {report.predicted_nu}, "
                 f"semigroup = {report.semigroup_nu}, naive = {naive} -> "
                 + ("match" if report.match else "MISMATCH")
             )
-    if report is not None and not report.match:
-        return EXIT_MISMATCH
-    return EXIT_OK
+    return (EXIT_MISMATCH if report is not None and not report.match else EXIT_OK), lines
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> tuple[int, list[str]]:
     try:
         lo_text, hi_text = args.primes.split("..")
         lo, hi = int(lo_text), int(hi_text)
@@ -178,19 +178,17 @@ def _cmd_scan(args) -> int:
     congruence = None if args.mod is None else (args.mod, args.residue)
     data = jsonio.scan_to_json(g, lo, hi, congruence, plan.limit, rows)
     if args.json:
-        print(json.dumps(data))
-        return EXIT_OK
+        return EXIT_OK, [json.dumps(data)]
     width = max(len(str(p)) for p, _ in rows)
-    for p, result in rows:
-        print(f"p = {p:>{width}}  fpt = {result.value}  [{result.case.value}]")
-    print(
+    lines = [f"p = {p:>{width}}  fpt = {result.value}  [{result.case.value}]" for p, result in rows]
+    lines.append(
         f"limit {plan.limit} attained at {data['limit_match_count']} of {len(rows)} primes "
         f"(characteristic-zero limit / log canonical threshold)"
     )
-    return EXIT_OK
+    return EXIT_OK, lines
 
 
-def _cmd_polytope(args) -> int:
+def _cmd_polytope(args) -> tuple[int, list[str]]:
     if args.level is not None and args.prime is None:
         raise ValueError("--level needs --prime")
     if args.level is not None and args.level < 0:
@@ -201,19 +199,19 @@ def _cmd_polytope(args) -> int:
     if args.prime is not None:
         _require_prime(args.prime)
         _require_coefficients(g, [args.prime])
+    lines = [f"wrote {args.svg}"] if args.svg else []
+    if args.json or not args.svg:
+        matrix = build(g.a, g.b)
+        data = jsonio.polytope_to_json(matrix, vertices(matrix), maximal_point(matrix))
+        lines.append(json.dumps(data))
     if args.svg:
         figure = polytope_figure(g, args.prime, args.level)
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(figure)
-        print(f"wrote {args.svg}")
-    if args.json or not args.svg:
-        matrix = build(g.a, g.b)
-        data = jsonio.polytope_to_json(matrix, vertices(matrix), maximal_point(matrix))
-        print(json.dumps(data))
-    return EXIT_OK
+    return EXIT_OK, lines
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> tuple[int, list[str]]:
     _require_prime(args.prime)
     if args.level < 1:
         raise ValueError("--level must be at least 1")
@@ -232,20 +230,20 @@ def _cmd_oracle(args) -> int:
     }
     data = jsonio.oracle_to_json(text, args.prime, args.level, nus["semigroup"], nus["naive"])
     if args.json:
-        print(json.dumps(data))
+        lines = [json.dumps(data)]
     else:
-        for name, value in nus.items():
-            if value is not None:
-                print(f"{name} nu = {value}")
+        lines = [f"{name} nu = {value}" for name, value in nus.items() if value is not None]
         if data["match"] is not None:
-            print("agreement" if data["match"] else "MISMATCH")
-    return EXIT_MISMATCH if data["match"] is False else EXIT_OK
+            lines.append("agreement" if data["match"] else "MISMATCH")
+    return (EXIT_MISMATCH if data["match"] is False else EXIT_OK), lines
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.run(args)
+        code, lines = args.run(args)
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
+        return code
     except BrokenPipeError:
         # the reader is gone: nothing to report, and the exit flush writes to devnull
         with contextlib.suppress(AttributeError, OSError), open(os.devnull, "w") as devnull:

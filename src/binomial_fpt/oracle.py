@@ -55,6 +55,9 @@ class NuQuery:
             raise ValueError("level must be at least 1")
         if not self.binomial.vanishes_at_origin():
             raise ValueError("input does not vanish at the origin")
+        coefficients = (self.binomial.coeff1, self.binomial.coeff2)
+        if any(c is not None and c % self.prime == 0 for c in coefficients):
+            raise ValueError("zero coefficient mod p")
 
 
 @dataclass(frozen=True)
@@ -122,8 +125,6 @@ def nu_naive(query: NuQuery) -> int:
     g = query.binomial
     c1 = 1 if g.coeff1 is None else g.coeff1 % p
     c2 = 1 if g.coeff2 is None else g.coeff2 % p
-    if c1 == 0 or c2 == 0:
-        raise ValueError("zero coefficient mod p")
     terms = ((g.a, c1), (g.b, c2))
     power: dict[tuple[int, ...], int] = {(0,) * len(g.variables): 1}
     hard_cap = len(g.variables) * (q - 1) + 1

@@ -22,6 +22,7 @@ from binomial_fpt.cli import (
     main,
 )
 from binomial_fpt.oracle import VerificationReport
+from binomial_fpt.parsing import EXPONENT_MAX
 
 COMP = "x^7*y^2+x^5*y^6"
 
@@ -170,6 +171,18 @@ class TestCompute:
         terminates in base 3 and prints although 3^13 > PERIOD_MAX."""
         poly = f"x^{n} + x^{n + 1}*y"
         assert run(capsys, "compute", poly, "--prime", "3", "--json")[0] == code
+
+    def test_failing_line_leaves_stdout_empty(self, capsys, monkeypatch):
+        """The positional line comes after fpt's; a failure there prints neither."""
+        import binomial_fpt.cli as cli
+
+        def fail(value, p):
+            raise ValueError("no digits")
+
+        monkeypatch.setattr(cli, "render_positional", fail)
+        assert run(capsys, "compute", COMP, "--prime", "37") == (
+            EXIT_BAD_INPUT, "", "error: no digits\n"
+        )
 
     def test_closed_stdout_is_not_bad_input(self, capsys, monkeypatch):
         class ClosedStdout:
@@ -399,6 +412,16 @@ class TestPolytope:
         assert err == "error: --level must be at least 0\n"
         assert not target.exists()
 
+    def test_failing_json_writes_no_figure(self, capsys, monkeypatch, tmp_path):
+        def fail(*args):
+            raise ValueError("no document")
+
+        monkeypatch.setattr(jsonio, "polytope_to_json", fail)
+        target = tmp_path / "comp.svg"
+        argv = ("polytope", COMP, "--prime", "37", "--svg", str(target), "--json")
+        assert run(capsys, *argv) == (EXIT_BAD_INPUT, "", "error: no document\n")
+        assert not target.exists()
+
     def test_unwritable_svg_path(self, capsys, tmp_path):
         target = tmp_path / "missing" / "f.svg"
         code, out, err = run(capsys, "polytope", COMP, "--svg", str(target))
@@ -566,6 +589,25 @@ class TestInputRules:
     )
     def test_bad_input_prints_one_error_line(self, capsys, argv, message):
         assert run(capsys, *argv) == (EXIT_BAD_INPUT, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", f"x^{EXPONENT_MAX + 1}*y^3 + x^5*y^2", "--prime", "2"),
+            ("scan", f"x^7*y^2 + x^{EXPONENT_MAX + 1}*y^6", "--primes", "2..100", "--json"),
+            ("oracle", f"x^{EXPONENT_MAX + 1}", "--prime", "2", "--level", "1"),
+        ],
+        ids=["compute", "scan", "oracle-monomial"],
+    )
+    def test_exponent_above_the_bound_fails_fast(self, capsys, argv):
+        start = time.perf_counter()
+        result = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert result == (EXIT_BAD_INPUT, "", f"error: exponent of x exceeds {EXPONENT_MAX}\n")
+
+    def test_exponent_at_the_bound_is_accepted(self, capsys):
+        argv = ("oracle", f"x^{EXPONENT_MAX}", "--prime", "2", "--level", "1")
+        assert run(capsys, *argv) == (EXIT_OK, "semigroup nu = 0\nnaive nu = 0\nagreement\n", "")
 
     def test_polytope_writes_no_figure(self, capsys, tmp_path):
         path = tmp_path / "f.svg"

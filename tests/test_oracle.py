@@ -177,10 +177,18 @@ class TestNuMonomial:
             lambda: nu_naive(NuQuery(Binomial(("x", "y"), (1, 0), (0, 1), coeff1=6), 3, 1)),
             "zero coefficient mod p",
         ),
+        # over F_3 this is y^3, whose nu(1) is 0; its binomial answer would be 1
+        (
+            lambda: nu_semigroup(NuQuery(Binomial(("x", "y"), (2, 0), (0, 3), coeff1=3), 3, 1)),
+            "zero coefficient mod p",
+        ),
         (lambda: nu_monomial((1, 2), 4, 1), "p must be prime"),
         (lambda: nu_monomial((1, 2), 3, 0), "level must be at least 1"),
     ],
-    ids=["constant-term", "naive-zero-coefficient", "monomial-composite", "monomial-level-0"],
+    ids=[
+        "constant-term", "naive-zero-coefficient", "semigroup-zero-coefficient",
+        "monomial-composite", "monomial-level-0",
+    ],
 )
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=message) as raised:
